@@ -753,14 +753,14 @@ let bench_deltafloor =
 (* compindex: what the first-class live component index buys per round.
    The session shape is the deltafloor group's (each round commits a
    delete + re-insert confined to one component, then solves the
-   standing single-component ΔV), both variants on lazy compaction with
-   the shard cache on — so the dirty tracking already confines
-   re-solving to the touched component, and the variants differ only in
-   how the planner enumerates: `indexed` walks the live per-component
-   rosters, O(‖ΔV‖ + active), while `sweep` rebuilds every proto-shard
-   from the partition arrays, O(‖D‖ + ‖V‖) per round. The scales double
+   standing single-component ΔV) on lazy compaction with the shard cache
+   on, so the index's clean bits confine re-solving to the touched
+   component. The enumeration step is also timed in isolation:
+   `active100_indexed` walks the live per-component rosters,
+   O(‖ΔV‖ + active), while `active100_sweep` rebuilds every proto-shard
+   from the partition arrays, O(‖D‖ + ‖V‖) per call. The scales double
    the database while the touched component stays constant-sized, so
-   the indexed curve must stay ~flat while the sweep grows linearly —
+   the indexed curves must stay ~flat while the sweep grows linearly —
    the O(active) enumeration claim of DESIGN.md §15.
    BENCH_compindex.json tracks this group. *)
 let bench_compindex =
@@ -788,10 +788,10 @@ let bench_compindex =
       | Error _ -> assert false
     done
   in
-  let setup ~indexed (p : D.Problem.t) =
+  let setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5 ~indexed
+         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5
            p.D.Problem.db p.D.Problem.queries
        in
        let part = Engine.partition eng in
@@ -835,9 +835,7 @@ let bench_compindex =
     let enum = enum_setup p in
     [
       Test.make ~name:(Printf.sprintf "session%d_indexed_%s" rounds tag)
-        (Staged.stage (session (setup ~indexed:true p)));
-      Test.make ~name:(Printf.sprintf "session%d_sweep_%s" rounds tag)
-        (Staged.stage (session (setup ~indexed:false p)));
+        (Staged.stage (session (setup p)));
       (* batched ×100: a single enumeration is sub-µs on the indexed
          path, below the harness noise floor *)
       Test.make ~name:("active100_indexed_" ^ tag)
@@ -1034,9 +1032,13 @@ let bench_e21 =
       Test.make ~name:"provenance_build" (Staged.stage (fun () -> D.Provenance.build biblio));
       Test.make ~name:"primal_dual" (Staged.stage (fun () -> D.Primal_dual.solve pv));
       Test.make ~name:"portfolio_seq"
-        (Staged.stage (fun () -> D.Portfolio.run ~exact_threshold:0 pv));
+        (Staged.stage (fun () ->
+             D.Portfolio.solutions ~exact_threshold:0 (D.Arena.build pv)));
       Test.make ~name:"portfolio_parallel"
-        (Staged.stage (fun () -> D.Portfolio.run_parallel ~exact_threshold:0 pv));
+        (Staged.stage (fun () ->
+             D.Portfolio.solutions ~exact_threshold:0
+               ~domains:(Domain.recommended_domain_count ())
+               (D.Arena.build pv)));
       Test.make ~name:"sql_parse"
         (Staged.stage (fun () ->
              Cq.Sql.query_of_string ~schema:sql_schema ~name:"Q"

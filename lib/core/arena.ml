@@ -595,7 +595,7 @@ let compact_partition ~(before : t) (p : partition) =
   if not (tombstoned before) then p
   else begin
     (* canonical labels are assigned over live slots only, so gathering
-       the live entries changes no label — dirty flags keyed by
+       the live entries changes no label — clean bits keyed by
        component id survive compaction untouched *)
     let ns = num_stuples before and nv = num_vtuples before in
     let comp_of_sid = Array.make (live_stuples before) (-1) in

@@ -75,7 +75,7 @@ val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
 
 (** [can_extend_in_place a ~ins prov] — would [extend] take the
     resurrection fast path? Lets a caller that must keep derived state
-    (partitions, dirty flags) aligned with the physical layout compact
+    (partitions, clean bits) aligned with the physical layout compact
     {e before} a merge-path extend rather than after. *)
 val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
 
@@ -147,7 +147,7 @@ val partition : t -> partition
 (** [compact_partition ~before p] — the partition of [compact before]
     given [p = partition before]: live entries gather, labels (and so
     [num_components]) are untouched, because canonical numbering already
-    skips dead slots. Component-keyed state (dirty flags, caches)
+    skips dead slots. Component-keyed state (clean bits, caches)
     survives compaction without remapping. The identity when [before]
     carries no tombstone. *)
 val compact_partition : before:t -> partition -> partition

@@ -11,6 +11,11 @@ type t = {
   sids_of : int array array;  (* component -> live member sids, ascending *)
   vids_of : int array array;  (* component -> live member vids, ascending *)
   memo : memo option array;   (* component -> last solve memo *)
+  clean : bool array;
+      (* component -> its cached answer is still valid: no delta touched
+         it since the last planner round solved (or a seed restricted)
+         it. Transitions allocate a fresh array; only [mark_clean]
+         writes in place. *)
 }
 
 let partition t = t.partition
@@ -39,74 +44,74 @@ let of_partition (p : Arena.partition) =
     sids_of = bucket p.comp_of_sid;
     vids_of = bucket p.comp_of_vid;
     memo = Array.make nc None;
+    clean = Array.make nc false;
   }
 
 let build (a : Arena.t) = of_partition (Arena.partition a)
 
 let delete t ~(before : Arena.t) ~dd (a' : Arena.t) =
+  if not (before.Arena.stuples == a'.Arena.stuples) then
+    invalid_arg "Component_index.delete: arena not from Arena.delete before";
   let p = t.partition in
   let p' = Arena.partition_delete p ~before ~dd a' in
-  if before.Arena.stuples == a'.Arena.stuples then begin
-    (* tombstone branch: ids are stable, so unaffected components keep
-       their rosters (and memos) verbatim under their new label, and
-       only the affected components' survivors re-bucket — O(affected
-       members), not O(‖D‖ + ‖V‖) *)
-    let affected = Array.make p.num_components false in
-    R.Stuple.Set.iter
-      (fun st -> affected.(p.comp_of_sid.(Arena.stuple_id before st)) <- true)
-      dd;
-    let nc' = p'.num_components in
-    let sids_of = Array.make nc' [||] in
-    let vids_of = Array.make nc' [||] in
-    let memo = Array.make nc' None in
-    Array.iteri
-      (fun c roster ->
-        if not affected.(c) then begin
-          (* every member survived; any one names the new label *)
-          let c' = p'.comp_of_sid.(roster.(0)) in
-          sids_of.(c') <- roster;
-          vids_of.(c') <- t.vids_of.(c);
-          memo.(c') <- t.memo.(c)
-        end)
-      t.sids_of;
-    (* affected components shatter: walk their old rosters descending,
-       consing live survivors onto their fragment's list keeps each
-       fragment ascending. Fragment labels never collide with the
-       unaffected labels above (labels partition the live slots). *)
-    let frag_s = Array.make nc' [] in
-    let frag_v = Array.make nc' [] in
-    Array.iteri
-      (fun c roster ->
-        if affected.(c) then
-          for i = Array.length roster - 1 downto 0 do
-            let sid = roster.(i) in
-            if not (Bitset.mem a'.Arena.dead_s sid) then
-              frag_s.(p'.comp_of_sid.(sid)) <- sid :: frag_s.(p'.comp_of_sid.(sid))
-          done)
-      t.sids_of;
-    Array.iteri
-      (fun c roster ->
-        if affected.(c) then
-          for i = Array.length roster - 1 downto 0 do
-            let vid = roster.(i) in
-            if not (Bitset.mem a'.Arena.dead_v vid) then begin
-              let c' = p'.comp_of_vid.(vid) in
-              if c' >= 0 then frag_v.(c') <- vid :: frag_v.(c')
-            end
-          done)
-      t.vids_of;
-    for c' = 0 to nc' - 1 do
-      match frag_s.(c') with
-      | [] -> ()
-      | l ->
-        sids_of.(c') <- Array.of_list l;
-        vids_of.(c') <- Array.of_list frag_v.(c')
-    done;
-    { partition = p'; sids_of; vids_of; memo }
-  end
-  else
-    (* gather branch: ids moved under compaction — one full re-bucket *)
-    of_partition p'
+  (* ids are stable, so unaffected components keep their rosters (memos
+     and clean bits) verbatim under their new label, and only the
+     affected components' survivors re-bucket — O(affected members),
+     not O(‖D‖ + ‖V‖); their fragments start dirty *)
+  let affected = Array.make p.num_components false in
+  R.Stuple.Set.iter
+    (fun st -> affected.(p.comp_of_sid.(Arena.stuple_id before st)) <- true)
+    dd;
+  let nc' = p'.num_components in
+  let sids_of = Array.make nc' [||] in
+  let vids_of = Array.make nc' [||] in
+  let memo = Array.make nc' None in
+  let clean = Array.make nc' false in
+  Array.iteri
+    (fun c roster ->
+      if not affected.(c) then begin
+        (* every member survived; any one names the new label *)
+        let c' = p'.comp_of_sid.(roster.(0)) in
+        sids_of.(c') <- roster;
+        vids_of.(c') <- t.vids_of.(c);
+        memo.(c') <- t.memo.(c);
+        clean.(c') <- t.clean.(c)
+      end)
+    t.sids_of;
+  (* affected components shatter: walk their old rosters descending,
+     consing live survivors onto their fragment's list keeps each
+     fragment ascending. Fragment labels never collide with the
+     unaffected labels above (labels partition the live slots). *)
+  let frag_s = Array.make nc' [] in
+  let frag_v = Array.make nc' [] in
+  Array.iteri
+    (fun c roster ->
+      if affected.(c) then
+        for i = Array.length roster - 1 downto 0 do
+          let sid = roster.(i) in
+          if not (Bitset.mem a'.Arena.dead_s sid) then
+            frag_s.(p'.comp_of_sid.(sid)) <- sid :: frag_s.(p'.comp_of_sid.(sid))
+        done)
+    t.sids_of;
+  Array.iteri
+    (fun c roster ->
+      if affected.(c) then
+        for i = Array.length roster - 1 downto 0 do
+          let vid = roster.(i) in
+          if not (Bitset.mem a'.Arena.dead_v vid) then begin
+            let c' = p'.comp_of_vid.(vid) in
+            if c' >= 0 then frag_v.(c') <- vid :: frag_v.(c')
+          end
+        done)
+    t.vids_of;
+  for c' = 0 to nc' - 1 do
+    match frag_s.(c') with
+    | [] -> ()
+    | l ->
+      sids_of.(c') <- Array.of_list l;
+      vids_of.(c') <- Array.of_list frag_v.(c')
+  done;
+  { partition = p'; sids_of; vids_of; memo; clean }
 
 let insert t ~(before : Arena.t) (a' : Arena.t) =
   let p = t.partition in
@@ -116,7 +121,8 @@ let insert t ~(before : Arena.t) (a' : Arena.t) =
        component's members stay together (insertions only merge), so
        each maps wholesale to one new label; a new label is [changed] if
        several old components landed on it or a newly-live slot joined
-       it — those re-gather and sort, the rest share rosters and memos. *)
+       it — those re-gather, sort and start dirty, the rest share
+       rosters, memos and clean bits. *)
     let nc = p.num_components and nc' = p'.num_components in
     let target = Array.make nc (-1) in
     Array.iteri (fun c roster -> target.(c) <- p'.comp_of_sid.(roster.(0))) t.sids_of;
@@ -135,13 +141,15 @@ let insert t ~(before : Arena.t) (a' : Arena.t) =
     let sids_of = Array.make nc' [||] in
     let vids_of = Array.make nc' [||] in
     let memo = Array.make nc' None in
+    let clean = Array.make nc' false in
     Array.iteri
       (fun c roster ->
         let c' = target.(c) in
         if not (changed c') then begin
           sids_of.(c') <- roster;
           vids_of.(c') <- t.vids_of.(c);
-          memo.(c') <- t.memo.(c)
+          memo.(c') <- t.memo.(c);
+          clean.(c') <- t.clean.(c)
         end)
       t.sids_of;
     let frag_s = Array.make nc' [] in
@@ -174,12 +182,30 @@ let insert t ~(before : Arena.t) (a' : Arena.t) =
         vids_of.(c') <- v
       end
     done;
-    { partition = p'; sids_of; vids_of; memo }
+    { partition = p'; sids_of; vids_of; memo; clean }
   end
-  else
+  else begin
     (* merge branch: the extend compacted and merged sorted runs — every
-       id moved, so re-bucket from the patched partition *)
-    of_partition p'
+       id moved, so re-bucket from the patched partition. Clean bits walk
+       the sorted-run correspondence (live old slots in order against
+       the merged run): a surviving slot carries its old component's
+       bit, an inserted one dirties its component — which covers every
+       component the insert merged, since they all share its label. *)
+    let clean = Array.make p'.num_components true in
+    let ns = Arena.num_stuples before in
+    let i = ref 0 in
+    for sid' = 0 to Arena.num_stuples a' - 1 do
+      while !i < ns && Bitset.mem before.Arena.dead_s !i do incr i done;
+      let c' = p'.comp_of_sid.(sid') in
+      if !i < ns && R.Stuple.equal before.Arena.stuples.(!i) a'.Arena.stuples.(sid')
+      then begin
+        if not t.clean.(p.comp_of_sid.(!i)) then clean.(c') <- false;
+        incr i
+      end
+      else clean.(c') <- false
+    done;
+    { (of_partition p') with clean }
+  end
 
 let compact t ~(before : Arena.t) =
   if not (Arena.tombstoned before) then t
@@ -209,6 +235,7 @@ let compact t ~(before : Arena.t) =
         Array.map
           (Option.map (fun m -> { m with m_bad = remap rv m.m_bad }))
           t.memo;
+      clean = Array.copy t.clean;
     }
   end
 
@@ -230,3 +257,14 @@ let record_memo t ~component ~fp ~bad = t.memo.(component) <- Some { m_fp = fp; 
 
 let memo t c =
   match t.memo.(c) with None -> None | Some m -> Some (m.m_fp, m.m_bad)
+
+let clean t c = t.clean.(c)
+let mark_clean t c = t.clean.(c) <- true
+
+let dirty t =
+  List.filter (fun c -> not t.clean.(c)) (List.init (Array.length t.clean) Fun.id)
+
+let restore_dirty t ids =
+  let clean = Array.make (Array.length t.clean) true in
+  List.iter (fun c -> if c >= 0 && c < Array.length clean then clean.(c) <- false) ids;
+  { t with clean; memo = Array.copy t.memo }

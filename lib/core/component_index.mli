@@ -23,6 +23,14 @@
     restricts onto surviving fragments. Memos are advisory: dropping one
     never changes an answer, only forfeits a reuse.
 
+    It is also the only holder of the shard cache's invalidation state:
+    one {e clean bit} per component, which says no committed delta has
+    touched the component since a planner round last answered it (see
+    {!clean}). Every transition below is pure — it allocates fresh
+    arrays and never mutates its input — so a caller may run one
+    speculatively on a live index; only {!record_memo} and
+    {!mark_clean} write in place.
+
     Lockstep differential tests ([test/test_compindex.ml]) drive random
     mixed delta streams (splits, merges, resurrections, compactions)
     through this index and through scratch recomputation and check the
@@ -50,26 +58,30 @@ val sids_of : t -> int -> int array
 val vids_of : t -> int -> int array
 
 (** [delete t ~before ~dd a'] — the index after committing the deletion
-    [dd] ([a' = Arena.delete before ~dd _], possibly compacted; same
-    contract as {!Arena.partition_delete}). On the tombstone path only
-    the affected components re-roster (their fragments re-bucket, and
-    their memos drop — {!Planner.seed_fragments} may re-seed the
-    untouched fragment); every other component shares its roster and
-    memo with [t]. *)
+    [dd]. [a'] must be [Arena.delete before ~dd _] itself, tombstoned and
+    sharing [before]'s arrays ([Invalid_argument] otherwise); a caller
+    that wants a compact index compacts afterwards ({!compact}). Only
+    the affected components re-roster: their fragments re-bucket, start
+    dirty and drop their memos ({!Planner.seed_fragments} may re-seed an
+    untouched fragment). Every other component shares its roster, memo
+    and clean bit with [t]. *)
 val delete : t -> before:Arena.t -> dd:Relational.Stuple.Set.t -> Arena.t -> t
 
 (** [insert t ~before a'] — the index after an insertion
     ([a' = Arena.extend before ~ins _]; same contract as
     {!Arena.partition_insert}). On the resurrect path only components
-    that merged or gained a member re-roster (memos drop); the rest
-    share. The merge path re-buckets from scratch (ids moved). *)
+    that merged or gained a member re-roster (memos drop, bits start
+    dirty); the rest share. The merge path re-buckets from scratch (ids
+    moved, memos drop) and carries each clean bit along the sorted-run
+    correspondence: a component stays clean iff it gained no inserted
+    tuple, hence merged nothing. *)
 val insert : t -> before:Arena.t -> Arena.t -> t
 
 (** [compact t ~before] — the index over [Arena.compact before]: labels
     survive ({!Arena.compact_partition}), roster ids remap to the
     compacted arena's, and memos survive too — their fingerprints are
     compaction-invariant ({!Fingerprint}) and their ΔV vids remap with
-    the rosters. *)
+    the rosters. Clean bits carry as-is. *)
 val compact : t -> before:Arena.t -> t
 
 (** [active t a] — the proto-shards of the components holding a bad
@@ -90,3 +102,26 @@ val record_memo : t -> component:int -> fp:Fingerprint.t -> bad:int array -> uni
 (** The component's memo, if its roster has not changed since it was
     recorded (re-rostering drops memos). *)
 val memo : t -> int -> (Fingerprint.t * int array) option
+
+(** {2 Clean bits (shard cache invalidation)}
+
+    The contract, pinned by [test/test_compindex.ml]: right after a
+    committed delta, component [c] is clean iff its live stuple set
+    equals that of a component that was clean before the commit, or
+    {!Planner.seed_fragments} just seeded it. A fresh index
+    ({!of_partition}) is all dirty; a planner round marks the shards it
+    answered clean ({!mark_clean}). The bits are only read when a shard
+    cache is in play. *)
+
+val clean : t -> int -> bool
+
+(** Mark [c] clean, in place — the one mutation besides {!record_memo}. *)
+val mark_clean : t -> int -> unit
+
+(** Ascending ids of the dirty components (what a snapshot records). *)
+val dirty : t -> int list
+
+(** [restore_dirty t ids] — [t] with exactly [ids] dirty and every other
+    component clean (ids out of range are ignored): how a recovered
+    snapshot reinstalls its bits. A fresh copy; [t] is untouched. *)
+val restore_dirty : t -> int list -> t

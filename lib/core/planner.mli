@@ -203,27 +203,28 @@ val cache_restore :
     [Portfolio.solutions_report ... a], compacting a tombstoned arena
     first — the shard pipeline itself never needs to: proto-shard
     sweeps, fingerprints, and materialization all skip dead slots.
-    [partition] (default: computed fresh) lets the engine pass its
-    incrementally maintained one.
     [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
     tiers). If any shard produces no feasible answer at all, the planner
     falls back to the whole-instance portfolio rather than return an
     infeasible union.
 
-    [index] replaces the active-component sweep with the engine's live
-    {!Component_index} — O(‖ΔV‖ + active) enumeration off maintained
-    rosters, bit-identical proto-shards. It wins over [partition] when
-    both are given; [partition] remains the sweep path's reuse hook.
+    [index] replaces the active-component sweep
+    ({!Arena.active_components}, a fresh O(‖D‖ + ‖V‖) pass) with the
+    engine's live {!Component_index} — O(‖ΔV‖ + active) enumeration off
+    maintained rosters, bit-identical proto-shards — and supplies the
+    clean bits ({!Component_index.clean}) that say which components no
+    delta has touched since their answer was cached. Without an index
+    every component counts as dirty.
 
-    [cache] enables shard memoization; [dirty component] says whether
-    the caller's deltas may have touched that component since its answer
-    was cached (default: every component — with no tracking the cache
-    only ever stores). A shard is spliced iff it is clean, its
-    fingerprint is present, and the entry passes the reuse rules; the
-    budget splits across the shards actually re-solved (a spliced shard
-    consumes no wall-clock), so fresh solves in a mostly-cached round
-    get the deadline headroom the splices freed. *)
+    [cache] enables shard memoization. A shard is spliced iff it is
+    clean, its fingerprint is present, and the entry passes the reuse
+    rules (with no index the cache only ever stores); the budget splits
+    across the shards actually re-solved (a spliced shard consumes no
+    wall-clock), so fresh solves in a mostly-cached round get the
+    deadline headroom the splices freed. The planner never writes the
+    clean bits — the caller marks the answered shards
+    ({!Component_index.mark_clean}). *)
 val solve :
   ?exact_threshold:int ->
   ?only:string list ->
@@ -231,19 +232,17 @@ val solve :
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
   ?decompose:bool ->
-  ?partition:Arena.partition ->
   ?index:Component_index.t ->
   ?cache:cache ->
-  ?dirty:(int -> bool) ->
   Arena.t ->
   report
 
 (** {2 Split-aware fragment seeding}
 
     [seed_fragments cache ~before ~before_index ~dd ~after ~after_index]
-    — called by the engine right after committing a tombstoning deletion
-    [dd] ([after = Arena.delete before ~dd _]; the identity on the
-    gather path, returning []). For each component of [before] touched
+    — called by the engine right after committing a deletion [dd]
+    ([after = Arena.delete before ~dd _], tombstoned, and [after_index]
+    the matching {!Component_index.delete}). For each component of [before] touched
     by [dd] whose {!Component_index.memo} points at a cached entry, if
     the memoized ΔV survived intact inside one non-empty fragment of
     [after], the parent's entry is restricted onto the fragment — all
@@ -271,9 +270,9 @@ val solve :
     [e_split], and the fragment's memo updated so reuse chains across
     successive splits.
 
-    Returns the seeded fragment components (ascending) — the engine
-    clears their dirty flags, so the next request splices them without
-    materializing or solving anything. A fresh solve of a seeded
+    Each seeded fragment is marked clean in [after_index]
+    ({!Component_index.mark_clean}), so the next request splices it
+    without materializing or solving anything. A fresh solve of a seeded
     fragment produces a bit-identical answer (lockstep-tested in
     [test/test_compindex.ml] and [test/test_decomp_splice.ml]). *)
 val seed_fragments :
@@ -283,4 +282,4 @@ val seed_fragments :
   dd:Relational.Stuple.Set.t ->
   after:Arena.t ->
   after_index:Component_index.t ->
-  int list
+  unit

@@ -198,22 +198,14 @@ type index = {
   arena : D.Arena.t;
   cindex : D.Component_index.t;
       (* the first-class live component index: the canonical partition
-         plus per-component member rosters and solve memos, maintained
-         with the arena on both sides of a delta — deletions re-roster
-         only the affected components ([Component_index.delete]),
-         insertions only the merged ones ([Component_index.insert]) *)
+         plus per-component member rosters, solve memos and clean bits
+         (the shard cache's invalidation state), maintained with the
+         arena on both sides of a delta — deletions re-roster only the
+         affected components ([Component_index.delete]), insertions only
+         the merged ones ([Component_index.insert]) *)
 }
 
 let part_of ix = D.Component_index.partition ix.cindex
-
-(* Which components may have changed since the shard cache last saw
-   them. [All] is the conservative top (fresh sessions, recovered
-   sessions, cache-less sessions); [Flags] is a bitset over the *current*
-   partition's component ids, remapped through every committed delta
-   right alongside the partition itself. *)
-type dirty =
-  | All
-  | Flags of Setcover.Bitset.t
 
 type t = {
   queries : Cq.Query.t list;
@@ -224,8 +216,8 @@ type t = {
   budget_ms : float option;
   compact_threshold : float;
       (* tombstone-ratio trigger for amortized compaction; ≤ 0 forces
-         the eager regime (every delete compacts inline, the pre-PR-7
-         behaviour, bit-identical by [Arena.compact]'s differential
+         the eager regime (every delete tombstones, then compacts at
+         once, bit-identical by [Arena.compact]'s differential
          property) *)
   base_db : R.Instance.t;
   journal_path : string option;
@@ -251,12 +243,6 @@ type t = {
          until the first full [write_snapshot] of THIS session: a
          recovered image is never delta-chained across sessions, so a
          torn tail can only lose freshness this session produced *)
-  mutable dirty : dirty;
-  indexed : bool;
-      (* route planner rounds through the live [Component_index]
-         ([Planner.solve ~index] + split-aware fragment seeding) rather
-         than the partition-sweep path; the index itself is maintained
-         either way, so the two modes are lockstep-comparable *)
 }
 
 let lazy_tombstones t = t.compact_threshold > 0.0
@@ -268,120 +254,21 @@ let index_of t =
   t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
   t.index
 
-(* ---- dirty-component tracking (the shard cache's invalidation) ----
-
-   The flags live over component ids, and component ids are canonical
-   (first appearance in ascending live sid order) — so any delta can
-   renumber even untouched components. Each stage below walks the same
-   sid correspondence the arena patch itself used and carries each flag
-   from its old component id to its new one. Tombstone deltas share the
-   physical arrays (the correspondence is the identity over live slots);
-   gather/merge deltas walk the compaction or sorted-run-merge mapping. *)
-
-module B = Setcover.Bitset
-
-(* after committing the deletion [dd]: the deleted tuples' components
-   turn dirty (every fragment a split produces inherits the flag, since
-   the flag travels per member), the rest keep their state under the
-   renumbering *)
-let dirty_after_delete ~(before : D.Arena.t) ~(p : D.Arena.partition) ~dd
-    ~(a' : D.Arena.t) ~(p' : D.Arena.partition) flags =
-  if before.D.Arena.stuples == a'.D.Arena.stuples then begin
-    (* tombstone delete: identity correspondence over the shared slots *)
-    let flags = B.copy flags in
-    R.Stuple.Set.iter
-      (fun st -> B.add flags p.D.Arena.comp_of_sid.(D.Arena.stuple_id before st))
-      dd;
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples before in
-    for sid = 0 to ns - 1 do
-      if
-        (not (B.mem a'.D.Arena.dead_s sid))
-        && B.mem flags p.D.Arena.comp_of_sid.(sid)
-      then B.add out p'.D.Arena.comp_of_sid.(sid)
-    done;
-    out
-  end
-  else begin
-    (* gather walk: [a'] is compact; fold [dd] and any older tombstones
-       of [before] into one old-to-new correspondence *)
-    let flags = B.copy flags in
-    let ns = D.Arena.num_stuples before in
-    let dead = B.copy before.D.Arena.dead_s in
-    R.Stuple.Set.iter
-      (fun st ->
-        let sid = D.Arena.stuple_id before st in
-        B.add dead sid;
-        B.add flags p.D.Arena.comp_of_sid.(sid))
-      dd;
-    let out = B.create p'.D.Arena.num_components in
-    let k = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (B.mem dead sid) then begin
-        if B.mem flags p.D.Arena.comp_of_sid.(sid) then
-          B.add out p'.D.Arena.comp_of_sid.(!k);
-        incr k
-      end
-    done;
-    out
-  end
-
-(* after committing an insertion: surviving tuples carry their flag to
-   their (possibly merged, possibly renumbered) component; an inserted
-   tuple dirties its component — which covers every component the insert
-   merged, since they all share the new id *)
-let dirty_after_insert ~(before : D.Arena.t) ~(p : D.Arena.partition)
-    ~(after : D.Arena.t) ~(p' : D.Arena.partition) flags =
-  if before.D.Arena.stuples == after.D.Arena.stuples then begin
-    (* resurrection: live-before slots keep their flag, newly-live slots
-       (dead before, live after) dirty their merged component *)
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples after in
-    for sid = 0 to ns - 1 do
-      if not (B.mem after.D.Arena.dead_s sid) then
-        if B.mem before.D.Arena.dead_s sid then
-          B.add out p'.D.Arena.comp_of_sid.(sid)
-        else if B.mem flags p.D.Arena.comp_of_sid.(sid) then
-          B.add out p'.D.Arena.comp_of_sid.(sid)
-    done;
-    out
-  end
-  else begin
-    (* merge walk — requires [before] compact, which [apply_delta_raw]
-       guarantees by pre-compacting ahead of a merge-path extend *)
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples before in
-    let ns' = D.Arena.num_stuples after in
-    let i = ref 0 in
-    for sid' = 0 to ns' - 1 do
-      if
-        !i < ns
-        && R.Stuple.equal before.D.Arena.stuples.(!i) after.D.Arena.stuples.(sid')
-      then begin
-        if B.mem flags p.D.Arena.comp_of_sid.(!i) then
-          B.add out p'.D.Arena.comp_of_sid.(sid');
-        incr i
-      end
-      else B.add out p'.D.Arena.comp_of_sid.(sid')
-    done;
-    out
-  end
-
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
 
-(* amortized compaction: gather the index's live slots (labels — and so
-   the component-keyed dirty flags and shard cache — survive untouched,
-   see [Arena.compact_partition]); counted in [compactions] *)
+(* gather the live slots of an arena and its index together (labels —
+   and so the index's clean bits and the shard cache — survive
+   untouched, see [Arena.compact_partition]) *)
+let compact_pair arena cindex =
+  (D.Arena.compact arena, D.Component_index.compact cindex ~before:arena)
+
+(* amortized compaction, counted in [compactions] *)
 let compact_index t =
   let ix = t.index in
   if D.Arena.tombstoned ix.arena then begin
-    t.index <-
-      {
-        ix with
-        arena = D.Arena.compact ix.arena;
-        cindex = D.Component_index.compact ix.cindex ~before:ix.arena;
-      };
+    let arena, cindex = compact_pair ix.arena ix.cindex in
+    t.index <- { ix with arena; cindex };
     t.stats <- { t.stats with compactions = t.stats.compactions + 1 }
   end
 
@@ -395,10 +282,10 @@ let compact_index t =
    commits only after both patches succeed, so a [Key_violation] or
    [Ambiguous_witness] raised mid-insert leaves it untouched.
 
-   Two tombstone regimes ([compact_threshold]):
-   - eager (≤ 0): every delete compacts inline and every insert merges —
-     the pre-tombstone behaviour, bit-identical via [Arena.compact]'s
-     differential property. Inline compaction is not counted in
+   Every delete tombstones first. Two regimes ([compact_threshold]):
+   - eager (≤ 0): the delete then compacts at once and every insert
+     merges — bit-identical to a gather, via [Arena.compact]'s
+     differential property. This compaction is not counted in
      [compactions]: it is the round's own cost, not amortized work.
    - lazy (> 0): deletes tombstone in place (O(touched) instead of
      O(‖D‖ + ‖V‖)), inserts resurrect dead slots when they can, and the
@@ -415,77 +302,51 @@ let apply_delta_raw t (delta : D.Delta.t) =
       delta.D.Delta.inserts
   in
   let ix = t.index in
-  let (prov, arena, cindex), dirty, deletes_patched =
-    if R.Stuple.Set.is_empty dd then
-      ((ix.prov, ix.arena, ix.cindex), t.dirty, false)
+  let prov, arena, cindex =
+    if R.Stuple.Set.is_empty dd then (ix.prov, ix.arena, ix.cindex)
     else begin
       let prov' = D.Provenance.delete ix.prov dd in
-      let arena' =
-        let tombstoned = D.Arena.delete ix.arena ~dd prov' in
-        if lazy_tombstones t then tombstoned else D.Arena.compact tombstoned
-      in
+      let arena' = D.Arena.delete ix.arena ~dd prov' in
       let cindex' =
         D.Component_index.delete ix.cindex ~before:ix.arena ~dd arena'
       in
-      let dirty =
-        match t.dirty with
-        | All -> All
-        | Flags f ->
-          let f' =
-            dirty_after_delete ~before:ix.arena ~p:(part_of ix) ~dd ~a':arena'
-              ~p':(D.Component_index.partition cindex') f
-          in
-          (* split-aware cache reuse: when the deletion shattered a
-             memoized component and left a fragment's candidate
-             neighborhood untouched, that fragment inherits the parent's
-             cached answer by restriction and stays clean — only the
-             touched fragments re-solve next round *)
-          (match t.shard_cache with
-          | Some c when t.indexed ->
-            List.iter
-              (fun comp -> B.remove f' comp)
-              (D.Planner.seed_fragments c ~before:ix.arena
-                 ~before_index:ix.cindex ~dd ~after:arena' ~after_index:cindex')
-          | _ -> ());
-          Flags f'
-      in
-      ((prov', arena', cindex'), dirty, true)
+      (* split-aware cache reuse: when the deletion shattered a
+         memoized component and left a fragment's candidate
+         neighborhood untouched, that fragment inherits the parent's
+         cached answer by restriction and is marked clean — only the
+         touched fragments re-solve next round *)
+      Option.iter
+        (fun c ->
+          D.Planner.seed_fragments c ~before:ix.arena ~before_index:ix.cindex
+            ~dd ~after:arena' ~after_index:cindex')
+        t.shard_cache;
+      if lazy_tombstones t then (prov', arena', cindex')
+      else
+        let arena', cindex' = compact_pair arena' cindex' in
+        (prov', arena', cindex')
     end
   in
-  let (prov, arena, cindex), dirty =
-    if R.Stuple.Set.is_empty ins then ((prov, arena, cindex), dirty)
+  let prov, arena, cindex =
+    if R.Stuple.Set.is_empty ins then (prov, arena, cindex)
     else begin
       let prov' =
         R.Stuple.Set.fold (fun st p -> D.Provenance.insert p st) ins prov
       in
       (* a merge-path extend of a tombstoned arena would compact inside
-         [Arena.extend], desynchronizing the rosters and flags from the
-         physical layout — compact both sides first instead (labels
-         survive, so the flags carry over as-is) *)
+         [Arena.extend], desynchronizing the rosters from the physical
+         layout — compact both sides first instead *)
       let arena, cindex =
         if
           D.Arena.tombstoned arena
           && not (D.Arena.can_extend_in_place arena ~ins prov')
-        then
-          (D.Arena.compact arena, D.Component_index.compact cindex ~before:arena)
+        then compact_pair arena cindex
         else (arena, cindex)
       in
       let arena' = D.Arena.extend arena ~ins prov' in
-      let cindex' = D.Component_index.insert cindex ~before:arena arena' in
-      let dirty =
-        match dirty with
-        | All -> All
-        | Flags f ->
-          Flags
-            (dirty_after_insert ~before:arena
-               ~p:(D.Component_index.partition cindex) ~after:arena'
-               ~p':(D.Component_index.partition cindex') f)
-      in
-      ((prov', arena', cindex'), dirty)
+      (prov', arena', D.Component_index.insert cindex ~before:arena arena')
     end
   in
   t.index <- { prov; arena; cindex };
-  t.dirty <- dirty;
   t.mv <-
     D.Matview.of_views prov.D.Provenance.problem.D.Problem.db t.queries
       prov.D.Provenance.views;
@@ -494,7 +355,7 @@ let apply_delta_raw t (delta : D.Delta.t) =
       t.stats with
       tuples_deleted = t.stats.tuples_deleted + R.Stuple.Set.cardinal dd;
       tuples_inserted = t.stats.tuples_inserted + R.Stuple.Set.cardinal ins;
-      patches = t.stats.patches + (if deletes_patched then 1 else 0);
+      patches = t.stats.patches + (if R.Stuple.Set.is_empty dd then 0 else 1);
       inserts_patched = t.stats.inserts_patched + R.Stuple.Set.cardinal ins;
       components = (D.Component_index.partition cindex).D.Arena.num_components;
     };
@@ -521,19 +382,13 @@ let replay_record t = function
     ignore (apply_delta_raw t (D.Delta.make ~deletes ~inserts ()))
 
 (* Persist the shard cache's plain-data state, coordinates first: the
-   journal position, the arena's canonical fingerprint, and the current
-   dirty flags. [Snapshot.write] is atomic (temp + fsync + rename), so a
-   crash mid-write leaves the previous snapshot intact — and stale
+   journal position, the arena's canonical fingerprint, and the index's
+   dirty components. [Snapshot.write] is atomic (temp + fsync + rename),
+   so a crash mid-write leaves the previous snapshot intact — and stale
    coordinates merely degrade the next recovery to a cold cache. *)
 let write_snapshot t =
   match (t.snapshot_path, t.shard_cache) with
   | Some spath, Some c ->
-    let n = (part_of t.index).D.Arena.num_components in
-    let dirty =
-      match t.dirty with
-      | All -> List.init n (fun i -> i)
-      | Flags f -> List.rev (B.fold (fun i acc -> i :: acc) f [])
-    in
     (* the generation the recorded position belongs to: the open
        writer's, or — during a checkpoint, where the writer is closed
        and the snapshot precedes the [Journal.rewrite] — the bumped one
@@ -566,8 +421,8 @@ let write_snapshot t =
         Snapshot.position = t.journal_len;
         generation;
         arena_fp = D.Fingerprint.arena t.index.arena;
-        components = n;
-        dirty;
+        components = (part_of t.index).D.Arena.num_components;
+        dirty = D.Component_index.dirty t.index.cindex;
         stats = D.Planner.cache_stats c;
         baseline = Some (gone, added);
         entries;
@@ -619,20 +474,14 @@ let append_snapshot_delta t record =
     let generation =
       match t.journal with Some w -> Journal.generation w | None -> 0
     in
-    let n = (part_of t.index).D.Arena.num_components in
-    let dirty =
-      match t.dirty with
-      | All -> List.init n (fun i -> i)
-      | Flags f -> List.rev (B.fold (fun i acc -> i :: acc) f [])
-    in
     match
       Snapshot.append ~fsync:t.fsync spath
         {
           Snapshot.d_position = t.journal_len;
           d_generation = generation;
           d_arena_fp = D.Fingerprint.arena t.index.arena;
-          d_components = n;
-          d_dirty = dirty;
+          d_components = (part_of t.index).D.Arena.num_components;
+          d_dirty = D.Component_index.dirty t.index.cindex;
           d_stats = D.Planner.cache_stats c;
           d_removed = removed;
           d_order = List.map fst entries;
@@ -713,7 +562,7 @@ let checkpoint t =
 let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     ?budget_ms ?compact_threshold ?journal ?(recover = false)
     ?(shard_cache = 512) ?snapshot ?(snapshot_every = 16) ?(fsync = false)
-    ?segment_bytes ?(indexed = true) db queries =
+    ?segment_bytes db queries =
   (match (snapshot, journal) with
   | Some _, None ->
     invalid_arg "Engine.create: ~snapshot requires ~journal (a snapshot is \
@@ -761,10 +610,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
            Some (D.Planner.create_cache ~capacity:shard_cache ())
          else None);
       snap_mirror = None;
-      (* a fresh (or recovered) session has solved nothing yet: every
-         component is dirty until its first planner round lands *)
-      dirty = All;
-      indexed;
     }
   in
   (match journal with
@@ -798,19 +643,16 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       match t.shard_cache with
       | None -> false
       | Some c ->
-        let p = part_of t.index in
         if
-          s.Snapshot.components = p.D.Arena.num_components
+          s.Snapshot.components = (part_of t.index).D.Arena.num_components
           && D.Fingerprint.equal s.Snapshot.arena_fp
                (D.Fingerprint.arena t.index.arena)
         then begin
           D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
-          let f = B.create p.D.Arena.num_components in
-          List.iter
-            (fun cid ->
-              if cid >= 0 && cid < p.D.Arena.num_components then B.add f cid)
-            s.Snapshot.dirty;
-          t.dirty <- Flags f;
+          t.index <-
+            { t.index with
+              cindex =
+                D.Component_index.restore_dirty t.index.cindex s.Snapshot.dirty };
           t.stats <-
             {
               t.stats with
@@ -823,11 +665,12 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     in
     (* the fresh base state, reinstallable if a fast-path attempt below
        turns out stale: nothing before this point mutates [prov] /
-       [arena] / [cindex] (arena patches copy the dead bitsets) *)
+       [arena] / [cindex] (arena patches copy the dead bitsets, index
+       transitions and [install] copy the clean bits, and only [request]
+       marks bits in place), so [cindex] is still all dirty *)
     let reset_state () =
       t.mv <- D.Matview.of_views db queries prov.D.Provenance.views;
       t.index <- { prov; arena; cindex };
-      t.dirty <- All;
       (match t.shard_cache with
       | Some c -> D.Planner.cache_clear c
       | None -> ());
@@ -894,7 +737,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     | Ok records ->
       let installed = ref false in
       (* install mid-replay, at exactly the position the snapshot was
-         written; the tail records then remap the restored dirty flags
+         written; the tail records then carry the restored clean bits
          through [apply_delta_raw] like any live delta *)
       List.iteri
         (fun i record ->
@@ -994,89 +837,42 @@ let request ?budget_ms t requests =
     let prov' = D.Provenance.with_deletions ix.prov requests in
     let arena' = D.Arena.with_deletions ix.arena prov' in
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
+    (* flat sessions take the whole-instance portfolio; the component
+       index depends only on witness structure, so the session's
+       incrementally maintained one re-targets for free *)
     let report =
-      if t.plan_solver then begin
-        let dirty_fn =
-          match (t.shard_cache, t.dirty) with
-          | None, _ | _, All -> None
-          | Some _, Flags f -> Some (fun c -> B.mem f c)
-        in
-        (* the component index depends only on witness structure, so the
-           session's incrementally maintained one re-targets for free —
-           indexed sessions enumerate active components off the live
-           rosters, sweep-path sessions off the partition arrays *)
-        let report =
-          if t.indexed then
-            D.Planner.solve ?exact_threshold:t.exact_threshold
-              ?only:t.algorithms ?budget_ms ~pool:t.pool ~index:ix.cindex
-              ?cache:t.shard_cache ?dirty:dirty_fn arena'
-          else
-            D.Planner.solve ?exact_threshold:t.exact_threshold
-              ?only:t.algorithms ?budget_ms ~pool:t.pool
-              ~partition:(part_of ix) ?cache:t.shard_cache ?dirty:dirty_fn
-              arena'
-        in
-        (* memoize each decided shard's (fingerprint, ΔV) on its
-           component: what [Planner.seed_fragments] restricts onto
-           surviving fragments when a later delete splits it *)
-        (if t.indexed && report.D.Planner.decomposed then begin
-           let p = part_of ix in
-           let by_comp = Hashtbl.create 16 in
-           B.iter
-             (fun vid ->
-               let c = p.D.Arena.comp_of_vid.(vid) in
-               let prev = try Hashtbl.find by_comp c with Not_found -> [] in
-               Hashtbl.replace by_comp c (vid :: prev))
-             arena'.D.Arena.bad;
-           List.iter
-             (fun (d : D.Planner.shard_decision) ->
-               match d.D.Planner.fingerprint with
-               | None -> ()
-               | Some fp ->
-                 let bad =
-                   Array.of_list
-                     (List.rev
-                        (try Hashtbl.find by_comp d.D.Planner.component
-                         with Not_found -> []))
-                 in
-                 D.Component_index.record_memo ix.cindex
-                   ~component:d.D.Planner.component ~fp ~bad)
-             report.D.Planner.shards
-         end);
-        (* every shard that just solved (or spliced, staying valid) is
-           now clean; components the round did not activate keep their
-           state. [request] commits nothing, so the partition the flags
-           index is unchanged. *)
-        (if t.shard_cache <> None && report.D.Planner.decomposed then begin
-           let f =
-             match t.dirty with
-             | All -> B.full (part_of ix).D.Arena.num_components
-             | Flags f -> f
-           in
-           List.iter
-             (fun (d : D.Planner.shard_decision) ->
-               B.remove f d.D.Planner.component)
-             report.D.Planner.shards;
-           t.dirty <- Flags f
-         end);
-        report
-      end
-      else
-        (* the flat portfolio iterates the physical arrays, so a
-           tombstoned index must compact for this round's solve (the
-           session index itself stays tombstoned; flat sessions default
-           to eager compaction anyway) *)
-        let arena' =
-          if D.Arena.tombstoned arena' then D.Arena.compact arena' else arena'
-        in
-        let r =
-          D.Portfolio.solutions_report ?exact_threshold:t.exact_threshold
-            ?only:t.algorithms ?budget_ms ~pool:t.pool arena'
-        in
-        { D.Planner.solutions = r.D.Portfolio.solutions;
-          failures = r.D.Portfolio.failures; degraded = r.D.Portfolio.degraded;
-          decomposed = false; shards = []; shards_cached = 0 }
+      D.Planner.solve ?exact_threshold:t.exact_threshold ?only:t.algorithms
+        ?budget_ms ~pool:t.pool ~decompose:t.plan_solver ~index:ix.cindex
+        ?cache:t.shard_cache arena'
     in
+    (* every shard that just solved (or spliced) is now clean, and each
+       decided shard's (fingerprint, ΔV) is memoized on its component:
+       what [Planner.seed_fragments] restricts onto surviving fragments
+       when a later delete splits it. [request] commits nothing, so the
+       index these land on is the session's own. *)
+    if report.D.Planner.decomposed then begin
+      let p = part_of ix in
+      let by_comp = Hashtbl.create 16 in
+      Setcover.Bitset.iter
+        (fun vid ->
+          let c = p.D.Arena.comp_of_vid.(vid) in
+          let prev = try Hashtbl.find by_comp c with Not_found -> [] in
+          Hashtbl.replace by_comp c (vid :: prev))
+        arena'.D.Arena.bad;
+      List.iter
+        (fun (d : D.Planner.shard_decision) ->
+          let c = d.D.Planner.component in
+          D.Component_index.mark_clean ix.cindex c;
+          Option.iter
+            (fun fp ->
+              let bad =
+                Array.of_list
+                  (List.rev (try Hashtbl.find by_comp c with Not_found -> []))
+              in
+              D.Component_index.record_memo ix.cindex ~component:c ~fp ~bad)
+            d.D.Planner.fingerprint)
+        report.D.Planner.shards
+    end;
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let exact_shards =
       List.length

@@ -121,8 +121,8 @@ type stats = {
                               regime) *)
   compactions : int;      (** explicit index compactions: threshold
                               triggers, {!checkpoint}s and {!compact}
-                              calls (eager-regime inline compaction is
-                              not counted — it is part of the delete
+                              calls (eager-regime compaction is not
+                              counted — it is part of the delete
                               itself) *)
   snapshot : snapshot_status;
                           (** how recovery left the shard cache: warm
@@ -213,10 +213,11 @@ type plan = {
     [budget_ms] arms every round with a wall-clock deadline (overridable
     per {!request}).
 
-    [compact_threshold] picks the tombstone regime. [<= 0.0]: {e eager}
-    — every committed delete compacts the index inline, reproducing the
-    pre-tombstone behaviour bit-for-bit. [> 0.0]: {e lazy} — deletes
-    tombstone slots in place ({!Deleprop.Arena.delete}), inserts
+    [compact_threshold] picks the tombstone regime. Every committed
+    delete tombstones slots in place ({!Deleprop.Arena.delete}) first.
+    [<= 0.0]: {e eager} — the delete then compacts the index at once, so
+    the session never holds a tombstone (this compaction is part of the
+    delete, not counted in [compactions]). [> 0.0]: {e lazy} — inserts
     resurrect dead slots when they can
     ({!Deleprop.Arena.can_extend_in_place}), and the engine compacts
     only when {!Deleprop.Arena.tombstone_ratio} exceeds the threshold —
@@ -242,9 +243,10 @@ type plan = {
 
     [shard_cache] (default 512; [0] disables) bounds the planner
     session's shard solution cache ({!Deleprop.Planner.cache}): the
-    engine tracks which components each committed delta touched
-    (remapped through the same sid correspondences the index patches
-    use) and {!request} re-solves only the dirty shards, splicing
+    component index owns which components each committed delta touched
+    (one clean bit per component, carried through the same transitions
+    that patch the rosters — {!Deleprop.Component_index.clean}) and
+    {!request} re-solves only the dirty shards, splicing
     memoized answers for the clean ones. Cached rounds are
     solution-equivalent to fresh ones whenever the session is
     deterministic (no [budget_ms] expiring mid-solver) — the
@@ -260,8 +262,8 @@ type plan = {
     accumulate past the last one. With [recover], a snapshot whose
     coordinates (journal position, partition size, canonical arena
     fingerprint) match the replay installs mid-replay — restoring the
-    entries, the lifetime counters, {e and} the dirty flags, which the
-    remaining journal tail then remaps like live deltas — so the first
+    entries, the lifetime counters, {e and} the index's clean bits, which
+    the remaining journal tail then carries like live deltas — so the first
     post-recovery round re-solves only what the crashed session would
     have. When the snapshot additionally carries a database baseline and
     its recorded journal generation still matches the journal on disk,
@@ -275,17 +277,14 @@ type plan = {
     full replay) and stamps [stats.snapshot]; [test/test_rewarm.ml]
     holds the crash+recover ≡ uninterrupted equivalence property.
 
-    [indexed] (default [true]) routes planner rounds through the live
-    {!Deleprop.Component_index} — active components enumerate off
-    maintained per-component rosters in O(‖ΔV‖ + active) instead of the
-    O(‖D‖ + ‖V‖) partition sweep — and arms split-aware cache reuse:
-    after a committed deletion splits a memoized component, surviving
-    fragments whose candidate neighborhood the delete did not touch
-    inherit the parent's cached answer by restriction
-    ({!Deleprop.Planner.seed_fragments}) and stay clean. [~indexed:false]
-    keeps the sweep path (the component index is still maintained, so
-    the two modes are lockstep-comparable — [test/test_compindex.ml]
-    proves them bit-identical). *)
+    Planner rounds always run on the live {!Deleprop.Component_index}:
+    active components enumerate off maintained per-component rosters in
+    O(‖ΔV‖ + active) instead of an O(‖D‖ + ‖V‖) partition sweep, and
+    split-aware cache reuse is armed — after a committed deletion splits
+    a memoized component, surviving fragments whose candidate
+    neighborhood the delete did not touch inherit the parent's cached
+    answer by restriction ({!Deleprop.Planner.seed_fragments}) and stay
+    clean. *)
 val create :
   ?weights:Deleprop.Weights.t ->
   ?exact_threshold:int ->
@@ -301,7 +300,6 @@ val create :
   ?snapshot_every:int ->
   ?fsync:bool ->
   ?segment_bytes:int ->
-  ?indexed:bool ->
   Relational.Instance.t ->
   Cq.Query.t list ->
   t
@@ -350,7 +348,7 @@ val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
 
 (** Compact the live index now: drop tombstoned slots from the arena
     and re-gather the partition ({!Deleprop.Arena.compact} /
-    {!Deleprop.Arena.compact_partition} — labels and dirty flags
+    {!Deleprop.Arena.compact_partition} — labels and clean bits
     survive). No-op when the index has no tombstones. Counted in
     [stats.compactions]. The engine calls this itself when the
     tombstone ratio crosses [compact_threshold] and before every

@@ -11,8 +11,9 @@
     session database expressed as a [baseline] delta against the base.
     Recovery replays the journal as usual and — when the stored
     coordinates match the replayed state — installs the entries and
-    dirty flags, so the first post-recovery round splices clean shards
-    from the cache exactly as the uninterrupted session would have. When
+    restores the component index's clean bits, so the first
+    post-recovery round splices clean shards from the cache exactly as
+    the uninterrupted session would have. When
     the baseline is present and the journal's generation matches,
     the engine skips replaying the [position]-record prefix entirely
     (applying the baseline as one delta instead) and reclaims the sealed

@@ -63,13 +63,14 @@ let check_active_equal tag cindex (arena' : D.Arena.t) =
 
 (* ---- the lockstep stream property ----
 
-   Drive one mixed delete/insert/solve stream through two planner
-   engines — [eng_i] routed through the live component index, [eng_s]
-   on the partition-sweep path — plus scratch recomputation, and
-   require at every step: bit-identical partitions and rosters,
-   bit-identical active proto-shards, and bit-identical ranked
-   solutions and shard decisions. Deltas resurrect from a deleted pool,
-   so tombstone, resurrect, merge and compaction branches all fire. *)
+   Drive one mixed delete/insert/solve stream through a planner engine
+   routed through the live component index, and require at every step:
+   partitions and rosters bit-identical to scratch recomputation, active
+   proto-shards bit-identical to the partition sweep, and ranked
+   solutions and shard decisions bit-identical to a fresh cache-less
+   session on the committed database. Deltas resurrect from a deleted
+   pool, so tombstone, resurrect, merge and compaction branches all
+   fire. *)
 let check_lockstep_stream ?(scale = 6) seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
@@ -83,16 +84,12 @@ let check_lockstep_stream ?(scale = 6) seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let mk indexed =
-    Engine.create ~plan:true ~domains:1 ~indexed p.D.Problem.db queries
-  in
-  let eng_i = mk true in
-  let eng_s = mk false in
+  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
   let deleted_pool = ref [] in
   for step = 1 to 10 do
     let tag = Printf.sprintf "compindex seed %d step %d" seed step in
     let deletes =
-      match R.Instance.stuples (Engine.db eng_i) with
+      match R.Instance.stuples (Engine.db eng) with
       | [] -> R.Stuple.Set.empty
       | sts ->
         List.init
@@ -107,57 +104,44 @@ let check_lockstep_stream ?(scale = 6) seed =
         deleted_pool := rest;
         R.Stuple.Set.singleton st
     in
-    let delta = D.Delta.make ~deletes ~inserts () in
-    let a_i = Engine.apply_delta eng_i delta in
-    let a_s = Engine.apply_delta eng_s delta in
-    Alcotest.check Util.stuple_set (tag ^ ": same deletes applied")
-      a_s.D.Delta.deletes a_i.D.Delta.deletes;
+    let applied = Engine.apply_delta eng (D.Delta.make ~deletes ~inserts ()) in
     deleted_pool :=
       R.Stuple.Set.elements
-        (R.Stuple.Set.diff a_i.D.Delta.deletes a_i.D.Delta.inserts)
+        (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
       @ !deleted_pool;
     (* an explicit compaction now and then exercises the roster/memo
        remap outside the threshold trigger *)
-    if step mod 4 = 0 then begin
-      Engine.compact eng_i;
-      Engine.compact eng_s
-    end;
-    let prov_i, arena_i = Engine.index eng_i in
-    let cindex = Engine.component_index eng_i in
-    check_index_matches tag cindex arena_i;
-    (* both engines maintain the index; their labels must agree too *)
-    let p_i = Engine.partition eng_i in
-    let p_s = Engine.partition eng_s in
-    Alcotest.(check int)
-      (tag ^ ": engines agree on num_components")
-      p_s.D.Arena.num_components p_i.D.Arena.num_components;
-    match Test_engine.random_requests rng prov_i with
+    if step mod 4 = 0 then Engine.compact eng;
+    let prov, arena = Engine.index eng in
+    let cindex = Engine.component_index eng in
+    check_index_matches tag cindex arena;
+    match Test_engine.random_requests rng prov with
     | [] -> ()
     | reqs ->
       (* the ΔV re-stamp the planner sees: indexed enumeration must be
          bit-identical to the sweep on it *)
-      let prov' = D.Provenance.with_deletions prov_i reqs in
-      let arena' = D.Arena.with_deletions arena_i prov' in
+      let prov' = D.Provenance.with_deletions prov reqs in
+      let arena' = D.Arena.with_deletions arena prov' in
       check_active_equal tag cindex arena';
-      let p_i = request_exn tag eng_i reqs in
-      let p_s = request_exn tag eng_s reqs in
-      check_solutions_equal (tag ^ " solutions") p_i.Engine.solutions
-        p_s.Engine.solutions;
-      check_decisions_equal (tag ^ " decisions") p_i.Engine.shards
-        p_s.Engine.shards;
-      if step mod 3 = 0 then begin
-        match (Engine.apply eng_i p_i, Engine.apply eng_s p_s) with
-        | Some s_i, Some s_s ->
-          Alcotest.check Util.stuple_set (tag ^ ": same solution applied")
-            s_s.D.Solution.deleted s_i.D.Solution.deleted;
-          deleted_pool :=
-            R.Stuple.Set.elements s_i.D.Solution.deleted @ !deleted_pool
-        | None, None -> ()
-        | _ -> Alcotest.fail (tag ^ ": apply diverged")
-      end
+      let fresh =
+        Engine.create ~plan:true ~domains:1 ~shard_cache:0 (Engine.db eng)
+          queries
+      in
+      let p = request_exn tag eng reqs in
+      let f = request_exn tag fresh reqs in
+      Engine.close fresh;
+      check_solutions_equal (tag ^ " solutions") p.Engine.solutions
+        f.Engine.solutions;
+      check_decisions_equal (tag ^ " decisions") p.Engine.shards
+        f.Engine.shards;
+      if step mod 3 = 0 then
+        Option.iter
+          (fun (s : D.Solution.t) ->
+            deleted_pool :=
+              R.Stuple.Set.elements s.D.Solution.deleted @ !deleted_pool)
+          (Engine.apply eng p)
   done;
-  Engine.close eng_i;
-  Engine.close eng_s;
+  Engine.close eng;
   true
 
 let prop_lockstep =
@@ -226,9 +210,19 @@ let test_fragment_reuse_bitidentical () =
        (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
   Alcotest.(check int) "two components" 2
     (Engine.partition eng).D.Arena.num_components;
-  (* split the ICDE chain: Ann's fragment inherits the cached answer *)
+  (* split the ICDE chain: Ann's fragment inherits the cached answer and
+     starts clean; Cal's fragment, which held no memoized ΔV, is dirty *)
   del eng "T4" [ "ICDE"; "Rome" ];
   del fresh "T4" [ "ICDE"; "Rome" ];
+  let clean_of rel vs =
+    let _, arena = Engine.index eng in
+    D.Component_index.clean (Engine.component_index eng)
+      (Engine.partition eng).D.Arena.comp_of_sid.(D.Arena.stuple_id arena (st rel vs))
+  in
+  Alcotest.(check bool) "seeded fragment clean" true (clean_of "T1" [ "Ann"; "J1" ]);
+  Alcotest.(check bool) "unseeded fragment dirty" false (clean_of "T1" [ "Cal"; "J3" ]);
+  Alcotest.(check bool) "untouched component keeps its bit" true
+    (clean_of "T1" [ "Bob"; "J2" ]);
   let p = round "post-split" (q4 [ [ "Ann"; "J1"; "XML" ] ]) in
   Alcotest.(check int) "the seeded fragment splices" 1 p.Engine.shards_cached;
   Alcotest.(check int) "one fragment reuse" 1 (frag_reuses eng);
@@ -295,9 +289,155 @@ let test_reuse_counter_durable () =
   Alcotest.(check int) "restored reuse counter" 7
     (D.Planner.cache_fragment_reuses c')
 
+(* ---- the clean-bit contract ----
+
+   After every commit, a component is clean iff its live stuple set
+   equals that of a component clean before the commit, or
+   [Planner.seed_fragments] just seeded it; after every propose round,
+   iff it was clean before or the round answered it. The oracle works on
+   stuple sets from a scratch partition, so no id remap enters it. A
+   seeded fragment is recognized by its memo: [Component_index.delete]
+   drops every fragment's memo and only seeding records one. Commits are
+   delete-only or insert-only, so a seeded fragment's memo is still
+   there to see; the inserts resurrect in place or (after a compaction
+   swept their slots) take the merge path. *)
+
+let live_sets (arena : D.Arena.t) =
+  let p = D.Arena.partition arena in
+  let sets = Array.make p.D.Arena.num_components R.Stuple.Set.empty in
+  Array.iteri
+    (fun sid c ->
+      if c >= 0 then sets.(c) <- R.Stuple.Set.add arena.D.Arena.stuples.(sid) sets.(c))
+    p.D.Arena.comp_of_sid;
+  sets
+
+let clean_sets eng =
+  let cindex = Engine.component_index eng in
+  let sets = live_sets (snd (Engine.index eng)) in
+  List.filter_map
+    (fun c -> if D.Component_index.clean cindex c then Some sets.(c) else None)
+    (List.init (Array.length sets) Fun.id)
+
+(* Odd seeds run on the two-chain split instance, where deletes shatter
+   memoized components and seeding fires often; even seeds on a random
+   forest instance. Every third seed closes the brute tier, so forest
+   and approximate entries seed too. *)
+let check_clean_bits ~compact_threshold seed =
+  let rng = rng seed in
+  let db, queries =
+    if seed mod 2 = 1 then (split_db (), split_queries ())
+    else
+      let { Workload.Forest_family.problem = p; _ } =
+        Workload.Forest_family.generate ~rng
+          {
+            Workload.Forest_family.default with
+            num_relations = 4;
+            tuples_per_relation = 6;
+            num_queries = 3;
+            deletion_fraction = 0.0;
+          }
+      in
+      (p.D.Problem.db, p.D.Problem.queries)
+  in
+  let exact_threshold = if seed mod 3 = 0 then Some 0 else None in
+  let eng =
+    Engine.create ~plan:true ~domains:1 ?exact_threshold ~compact_threshold db
+      queries
+  in
+  let mem s sets = List.exists (R.Stuple.Set.equal s) sets in
+  (* [seeding]: the commit deleted, so fragments may have been seeded *)
+  let check tag ~seeding ~before ~clean_before ~answered =
+    let _, arena = Engine.index eng in
+    let cindex = Engine.component_index eng in
+    check_index_matches tag cindex arena;
+    Array.iteri
+      (fun c s ->
+        let carried = mem s clean_before in
+        let seeded =
+          seeding && (not (mem s before))
+          && D.Component_index.memo cindex c <> None
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: component %d clean" tag c)
+          (carried || seeded || mem s answered)
+          (D.Component_index.clean cindex c))
+      (live_sets arena)
+  in
+  let step_with tag ~seeding f =
+    let before = Array.to_list (live_sets (snd (Engine.index eng))) in
+    let clean_before = clean_sets eng in
+    let answered = f () in
+    check tag ~seeding ~before ~clean_before ~answered
+  in
+  let deleted_pool = ref [] in
+  let propose tag =
+    let prov, arena = Engine.index eng in
+    match Test_engine.random_requests rng prov with
+    | [] -> None
+    | reqs ->
+      let plan = ref None in
+      step_with (tag ^ " propose") ~seeding:false (fun () ->
+          let p = request_exn tag eng reqs in
+          plan := Some p;
+          let sets = live_sets arena in
+          List.map
+            (fun (d : D.Planner.shard_decision) -> sets.(d.D.Planner.component))
+            p.Engine.shards);
+      !plan
+  in
+  for step = 1 to 14 do
+    let tag = Printf.sprintf "clean ct %.1f seed %d step %d" compact_threshold seed step in
+    (* propose twice per step: the repeat round reads the bits the
+       first one marked *)
+    ignore (propose tag);
+    let plan = propose tag in
+    (match (Random.State.int rng 4, !deleted_pool) with
+    | 0, st :: rest ->
+      deleted_pool := rest;
+      step_with (tag ^ " insert") ~seeding:false (fun () ->
+          Engine.insert eng st;
+          [])
+    | 1, _ ->
+      step_with (tag ^ " apply") ~seeding:true (fun () ->
+          Option.iter
+            (fun p ->
+              Option.iter
+                (fun (s : D.Solution.t) ->
+                  deleted_pool :=
+                    R.Stuple.Set.elements s.D.Solution.deleted @ !deleted_pool)
+                (Engine.apply eng p))
+            plan;
+          [])
+    | _ -> (
+      match R.Instance.stuples (Engine.db eng) with
+      | [] -> ()
+      | sts ->
+        let st = List.nth sts (Random.State.int rng (List.length sts)) in
+        step_with (tag ^ " delete") ~seeding:true (fun () ->
+            Engine.delete eng (R.Stuple.Set.singleton st);
+            deleted_pool := st :: !deleted_pool;
+            [])));
+    if step mod 5 = 0 then
+      step_with (tag ^ " compact") ~seeding:false (fun () ->
+          Engine.compact eng;
+          [])
+  done;
+  Engine.close eng;
+  true
+
+let prop_clean_bits_eager =
+  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (eager)" seeds
+    (check_clean_bits ~compact_threshold:0.0)
+
+let prop_clean_bits_lazy =
+  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (lazy 0.3)" seeds
+    (check_clean_bits ~compact_threshold:0.3)
+
 let suite =
   [
     prop_lockstep;
+    prop_clean_bits_eager;
+    prop_clean_bits_lazy;
     Alcotest.test_case "split: fragment reuse ≡ fresh solve" `Quick
       test_fragment_reuse_bitidentical;
     Alcotest.test_case "split: candidate-touching deletes never seed" `Quick

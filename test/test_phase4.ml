@@ -168,19 +168,18 @@ let prop_portfolio_sound =
           { Workload.Forest_family.default with num_relations = 3; tuples_per_relation = 5 }
       in
       let prov = D.Provenance.build p in
-      let entries = D.Portfolio.run prov in
+      let entries = D.Portfolio.solutions (D.Arena.build prov) in
       entries <> []
-      && List.for_all (fun e -> e.D.Portfolio.outcome.D.Side_effect.feasible) entries
-      && (let costs = List.map (fun e -> e.D.Portfolio.outcome.D.Side_effect.cost) entries in
+      && List.for_all (fun e -> e.D.Solution.outcome.D.Side_effect.feasible) entries
+      && (let costs = List.map D.Solution.cost entries in
           List.sort compare costs = costs)
       &&
-      let brute_ran = List.exists (fun e -> e.D.Portfolio.algorithm = "brute") entries in
+      let brute_ran = List.exists (fun e -> e.D.Solution.algorithm = "brute") entries in
       (not brute_ran)
       ||
       match D.Brute.solve prov with
       | Some opt ->
-        feq (D.Portfolio.best prov).D.Portfolio.outcome.D.Side_effect.cost
-          opt.D.Brute.outcome.D.Side_effect.cost
+        feq (D.Solution.cost (List.hd entries)) opt.D.Brute.outcome.D.Side_effect.cost
       | None -> false)
 
 let suite =
