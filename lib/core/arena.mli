@@ -156,11 +156,13 @@ val compact_partition : before:t -> partition -> partition
     [a' = delete before ~dd prov'], patched incrementally from
     [p = partition before]: deletions only split components (no witness
     row ever gains a member), so only components containing a deleted
-    tuple are re-unioned, the rest keep their membership. When [a']
-    shares [before]'s physical arrays (the tombstone regime) the
-    correspondence is the identity; otherwise [a'] must be the compacted
-    form. Bit-identical to [partition a'] (checked by the engine
-    differential suite). *)
+    tuple are re-unioned, the rest keep their membership. [a'] must be
+    the tombstoned result of {!delete} itself, sharing [before]'s
+    physical arrays, so the id correspondence is the identity; any other
+    arena (a compacted one included) raises [Invalid_argument] — a
+    caller that wants a compact partition compacts afterwards
+    ({!compact_partition}). Bit-identical to [partition a'] (checked by
+    the engine differential suite). *)
 val partition_delete : partition -> before:t -> dd:R.Stuple.Set.t -> t -> partition
 
 (** [partition_insert p ~before a'] — the partition of

@@ -50,8 +50,6 @@ let of_partition (p : Arena.partition) =
 let build (a : Arena.t) = of_partition (Arena.partition a)
 
 let delete t ~(before : Arena.t) ~dd (a' : Arena.t) =
-  if not (before.Arena.stuples == a'.Arena.stuples) then
-    invalid_arg "Component_index.delete: arena not from Arena.delete before";
   let p = t.partition in
   let p' = Arena.partition_delete p ~before ~dd a' in
   (* ids are stable, so unaffected components keep their rosters (memos

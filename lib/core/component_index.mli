@@ -59,7 +59,8 @@ val vids_of : t -> int -> int array
 
 (** [delete t ~before ~dd a'] — the index after committing the deletion
     [dd]. [a'] must be [Arena.delete before ~dd _] itself, tombstoned and
-    sharing [before]'s arrays ([Invalid_argument] otherwise); a caller
+    sharing [before]'s arrays ([Invalid_argument] otherwise, raised by
+    {!Arena.partition_delete}); a caller
     that wants a compact index compacts afterwards ({!compact}). Only
     the affected components re-roster: their fragments re-bucket, start
     dirty and drop their memos ({!Planner.seed_fragments} may re-seed an

@@ -42,7 +42,22 @@ val solve :
   ?objective:objective -> ?budget:Budget.t -> Provenance.t ->
   (result, error) Stdlib.result
 
-(** Does the instance satisfy the structural requirement? *)
+(** [recognize ~path ~witness views] — the structural requirement
+    alone, over the given view tuples read through their witness [path]
+    and [witness]: the paths form a forest and every graph component
+    carrying a view has a pivot. No DP runs and nothing is budgeted.
+    [solve] starts with exactly this test — it returns [Error] iff
+    [recognize] does — so it answers "would the forest tier take this?"
+    for any subset of an instance's views, such as one component's
+    roster. *)
+val recognize :
+  path:('v -> Relational.Stuple.t list) ->
+  witness:('v -> Relational.Stuple.Set.t) ->
+  'v list ->
+  (unit, error) Stdlib.result
+
+(** [recognize] over every view tuple of the instance:
+    [applicable prov = Result.is_ok (solve prov)], without the DP. *)
 val applicable : Provenance.t -> bool
 
 val pp_error : Format.formatter -> error -> unit

@@ -228,10 +228,16 @@ let entry_certificate ~wide_global e =
     Solution.Ratio (2.0 *. wide_global)
   | c -> c
 
-(* One shard, solved through the tier ladder. Each tier is a restricted
-   portfolio round on the shard arena (sequential — the fan-out across
-   shards already owns the parallelism); a tier whose solvers all fail
-   passes its recorded failures down to the next. *)
+(* One shard, solved through the tier ladder, lazily: each tier runs
+   only when the one above it did not answer, and a tier that fails
+   passes its recorded failures down. The brute and approximate tiers
+   are restricted portfolio rounds on the shard arena (sequential — the
+   fan-out across shards already owns the parallelism). The forest tier
+   is a single budgeted [Solver.run] of the registered dp-tree: the
+   attempt is the classification — [Inapplicable] (not a pivot forest)
+   falls through silently, a failure falls through recorded. It skips
+   the portfolio, whose degraded greedy pass would run for nothing on
+   every non-forest shard. *)
 let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
     (sh : Arena.shard) =
   let sa = sh.Arena.arena in
@@ -242,36 +248,37 @@ let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
     Portfolio.solutions_report ~exact_threshold ~only:names ?extra
       ?budget_ms sa
   in
-  let approx () =
+  let approx failures =
     let extra =
       if allowed "lowdeg" then [ Solvers.lowdeg ~wide_threshold:wide_global () ]
       else []
     in
-    run ~extra
-      (List.filter allowed [ "primal-dual"; "lowdeg"; "general"; "greedy" ])
+    let r =
+      run ~extra
+        (List.filter allowed [ "primal-dual"; "lowdeg"; "general"; "greedy" ])
+    in
+    (Approximate, { r with Portfolio.failures = failures @ r.Portfolio.failures })
   in
-  let tiers =
-    (if allowed "brute"
-        && Array.length (Arena.candidate_ids sa) <= exact_threshold
-     then [ (Exact_small, fun () -> run [ "brute" ]) ]
-     else [])
-    @ (if allowed "dp-tree" && Dp_tree.applicable sa.Arena.prov then
-         [ (Exact_forest, fun () -> run [ "dp-tree" ]) ]
-       else [])
-    @ [ (Approximate, approx) ]
+  let forest failures =
+    match Solver.find "dp-tree" with
+    | Some dp when allowed "dp-tree" -> (
+      let budget = Option.map Budget.of_ms budget_ms in
+      match Solver.run ?budget dp sa with
+      | Solver.Solved s when Solution.feasible s ->
+        (Exact_forest, { Portfolio.solutions = [ s ]; failures; degraded = false })
+      (* an infeasible answer ranks out, as it would in a portfolio *)
+      | Solver.Solved _ | Solver.Inapplicable -> approx failures
+      | Solver.Failed f ->
+        Log.warn (fun m -> m "%a" Portfolio.pp_failure f);
+        approx (failures @ [ f ]))
+    | _ -> approx failures
   in
-  let rec attempt acc = function
-    | [] -> assert false
-    | [ (cls, f) ] ->
-      let r = f () in
-      (cls, { r with Portfolio.failures = acc @ r.Portfolio.failures })
-    | (cls, f) :: rest ->
-      let r = f () in
-      if r.Portfolio.solutions <> [] && not r.Portfolio.degraded then
-        (cls, { r with Portfolio.failures = acc @ r.Portfolio.failures })
-      else attempt (acc @ r.Portfolio.failures) rest
-  in
-  attempt [] tiers
+  if allowed "brute" && Array.length (Arena.candidate_ids sa) <= exact_threshold
+  then
+    let r = run [ "brute" ] in
+    if r.Portfolio.solutions <> [] && not r.Portfolio.degraded then (Exact_small, r)
+    else forest r.Portfolio.failures
+  else forest []
 
 (* a shard's answer as the recombination step consumes it — either
    freshly solved or spliced from the cache (which never pays for
@@ -575,12 +582,12 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
 
    + [Approximate]: identity restriction, additionally requiring that
      the fragment's √‖V‖ bucket equals the parent shard's recorded one
-     (so the shard-local LowDeg sweep prunes identically), that the
-     fragment is not forest-DP applicable (a fresh solve would change
-     tier), and that the winner's certificate is rewritable — "general"
-     is excluded because its ratio reads the restricted instance's
-     sizes; a winning "lowdeg" [Ratio] is rewritten to the fragment's
-     own [2√‖V_F‖].
+     (so the shard-local LowDeg sweep prunes identically), that
+     [Dp_tree.recognize] rejects the fragment's roster (a fresh solve
+     would otherwise take the forest tier), and that the winner's
+     certificate is rewritable — "general" is excluded because its
+     ratio reads the restricted instance's sizes; a winning "lowdeg"
+     [Ratio] is rewritten to the fragment's own [2√‖V_F‖].
 
    The seeded entry is what a fresh solve of the fragment under the same
    ΔV would have cached — bit-identical winner, deleted set, cost and
@@ -592,29 +599,6 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
    [Exact_small] identity path. *)
 
 let local_bucket nv = threshold_bucket (sqrt (float_of_int nv))
-
-(* Would a fresh solve of the fragment take the forest tier? Structural
-   probe mirroring [Dp_tree.applicable] on the fragment's witness paths:
-   the fragment is one arena component, hence one tuple-graph component,
-   so applicability is [is_forest] plus a pivot for that component. *)
-let fragment_dp_applicable (after : Arena.t) ~f_vids =
-  let prov = after.Arena.prov in
-  let paths =
-    Array.fold_left
-      (fun acc v ->
-        (Vtuple.Map.find after.Arena.vtuples.(v) prov.Provenance.witness_path)
-        :: acc)
-      [] f_vids
-  in
-  let g = Hypergraph.Tuple_graph.of_witness_paths paths in
-  Hypergraph.Tuple_graph.is_forest g
-  &&
-  let witnesses =
-    Array.fold_left
-      (fun acc v -> Provenance.witness_of prov after.Arena.vtuples.(v) :: acc)
-      [] f_vids
-  in
-  Hypergraph.Tuple_graph.find_pivot g witnesses <> None
 
 (* [Exact_small]: identity; only the live-roster size in the recorded
    decomposition is refreshed so chained splits see fragment-local
@@ -770,10 +754,20 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
     let winner_ok =
       List.mem e.e_winner [ "primal-dual"; "lowdeg"; "lowdeg-global"; "greedy" ]
     in
+    (* would a fresh solve of the fragment take the forest tier? *)
+    let forest () =
+      let prov = after.Arena.prov in
+      let vt v = after.Arena.vtuples.(v) in
+      Dp_tree.recognize
+        ~path:(fun v -> Vtuple.Map.find (vt v) prov.Provenance.witness_path)
+        ~witness:(fun v -> Provenance.witness_of prov (vt v))
+        (Array.to_list f_vids)
+      |> Result.is_ok
+    in
     if
       winner_ok
       && local_bucket nvf = local_bucket d.Decomposition.d_vtuples
-      && not (fragment_dp_applicable after ~f_vids)
+      && not (forest ())
     then
       let cert =
         match e.e_certificate with

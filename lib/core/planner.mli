@@ -9,17 +9,28 @@
     guarantees compose into a {!Solution.Composite} certificate whose
     factor is the {e max} of the shard factors.
 
-    Per-shard policy, in order:
+    Per-shard policy, a lazy ladder — each tier runs only when the one
+    above it did not answer:
     - {e exact-small} — the candidate set fits under [exact_threshold]:
       brute force, factor 1;
-    - {e exact-forest} — {!Dp_tree.applicable}: the pivot-forest DP,
-      factor 1;
+    - {e exact-forest} — one {!Solver.run} of the registered ["dp-tree"]
+      under the shard budget: the pivot-forest DP, factor 1. The attempt
+      is the classification: [Solved] answers here, [Inapplicable] (not
+      a pivot forest) falls through without a failure, [Failed] falls
+      through with its failure recorded. The DP runs once per re-solved
+      shard and never on a shard the brute tier answered;
     - {e approximate} — the full approximation portfolio (primal-dual,
       LowDeg, the general reduction, greedy) plus a LowDeg variant run
       with the {e parent} instance's √‖V‖ wide-pruning threshold, so the
       decomposed winner never costs more than the whole-instance LowDeg.
     An exact shard whose solver times out or crashes falls back to the
     approximate tier (and is reported as such).
+
+    Fault injection: the forest attempt crosses the [solver.dp-tree]
+    failpoint on every shard the brute tier did not answer — forest or
+    not, as the whole-instance portfolio already does — so an armed
+    [Raise] there records a dp-tree crash on each such shard and leaves
+    it uncached.
 
     {2 Shard memoization}
 
@@ -29,8 +40,10 @@
     be spliced back without running anything. {!solve} takes an optional
     {!cache} — a bounded LRU keyed by canonical content fingerprints
     ({!Fingerprint.arena}, invariant under component renumbering and id
-    compaction) — together with a [dirty] predicate from the caller's
-    delta tracking; only dirty shards re-solve, and the composite
+    compaction) — together with the caller's {!Component_index}, whose
+    clean bits ({!Component_index.clean}) mark the components no delta
+    has touched since their answer was cached; only dirty shards
+    re-solve, and the composite
     certificate is recomputed over {e all} shards (cost = sum,
     factor = max) so spliced rounds are solution-equivalent to fresh
     ones. See {!create_cache} for the invalidation rules. *)

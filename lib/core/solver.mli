@@ -12,17 +12,16 @@ module type S = sig
   val exact : bool
   (** Does a successful run return a provably optimal answer? *)
 
-  val applicable : Arena.t -> bool
-  (** Cheap structural test: can this solver possibly produce an answer
-      on the instance? Used by the {!Planner} to classify shards; a
-      solver whose [solve] returns [None] on inapplicable instances may
-      conservatively answer [true]. *)
-
   val solve : ?budget:Budget.t -> Arena.t -> Solution.t option
   (** One attempt. [None] when inapplicable or infeasible under the
       solver's restriction; raises {!Budget.Expired} (or anything else)
       on failure — {!run} classifies. Implementations leave
-      [elapsed_ms = 0.]; {!run} stamps the measured wall-clock. *)
+      [elapsed_ms = 0.]; {!run} stamps the measured wall-clock.
+
+      There is no separate applicability probe: the attempt is the
+      classification. The {!Planner}'s forest tier runs ["dp-tree"] once
+      per shard and reads {!Inapplicable} as "not a pivot forest, fall
+      through to the approximate tier". *)
 end
 
 type failure_reason =

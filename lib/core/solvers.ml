@@ -98,7 +98,6 @@ let dp_decomposition (a : Arena.t) (r : Dp_tree.result) =
 module Brute_force : Solver.S = struct
   let name = "brute"
   let exact = true
-  let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
     Brute.solve ?budget a.Arena.prov
@@ -111,7 +110,6 @@ end
 module Primal_dual_s : Solver.S = struct
   let name = "primal-dual"
   let exact = false
-  let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
     (* [Primal_dual.solve] minus the arena compile: full deletable set,
@@ -138,7 +136,6 @@ let lowdeg_module ~name ~wide_threshold : (module Solver.S) =
   (module struct
     let name = name
     let exact = false
-    let applicable _ = true
 
     let solve ?budget (a : Arena.t) =
       let threshold =
@@ -163,7 +160,6 @@ let lowdeg ?(name = "lowdeg-global") ~wide_threshold () =
 module Dp_tree_s : Solver.S = struct
   let name = "dp-tree"
   let exact = true
-  let applicable (a : Arena.t) = Dp_tree.applicable a.Arena.prov
 
   let solve ?budget (a : Arena.t) =
     match Dp_tree.solve ?budget a.Arena.prov with
@@ -178,7 +174,6 @@ end
 module General_s : Solver.S = struct
   let name = "general"
   let exact = false
-  let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
     General_approx.solve ?budget a.Arena.prov
@@ -192,7 +187,6 @@ end
 module Greedy_s : Solver.S = struct
   let name = "greedy"
   let exact = false
-  let applicable _ = true
 
   let solve ?budget:_ (a : Arena.t) =
     let r = Single_query.solve_greedy_multi a.Arena.prov in

@@ -173,6 +173,24 @@ let prop_partition_random =
   qcheck ~count:50 "arena: partition invariants (random)" seeds
     (check_partition_family random_prov)
 
+(* one or two random live tuples of a (possibly tombstoned) arena; [None]
+   once fewer than two remain *)
+let random_live_dd rng (a : D.Arena.t) =
+  let live =
+    Array.of_list
+      (List.filter
+         (fun sid -> not (B.mem a.D.Arena.dead_s sid))
+         (List.init (D.Arena.num_stuples a) Fun.id))
+  in
+  let n = Array.length live in
+  if n <= 1 then None
+  else
+    Some
+      (List.init
+         (1 + Random.State.int rng 2)
+         (fun _ -> a.D.Arena.stuples.(live.(Random.State.int rng n)))
+      |> R.Stuple.Set.of_list)
+
 (* random deletion streams: the patched partition must be bit-identical
    to the scratch one after every commit. Deletes tombstone
    ([Arena.delete] never moves slots), so the stream exercises iterated
@@ -180,35 +198,29 @@ let prop_partition_random =
    partition compares against a scratch partition of the tombstoned
    arena, and the structural invariants are checked on the compacted
    form (where every slot is live again) — [compact_partition] must
-   carry the patched labels over unchanged. *)
+   carry the patched labels over unchanged, while handing the compacted
+   arena itself to [partition_delete] must raise. *)
 let check_partition_stream family seed =
   let rng = rng (seed + 7919) in
   let prov = ref (family seed) in
   let arena = ref (D.Arena.build !prov) in
   let part = ref (D.Arena.partition !arena) in
   for _ = 1 to 6 do
-    let live =
-      Array.of_list
-        (List.filter
-           (fun sid -> not (B.mem !arena.D.Arena.dead_s sid))
-           (List.init (D.Arena.num_stuples !arena) Fun.id))
-    in
-    let n = Array.length live in
-    if n > 1 then begin
-      let k = 1 + Random.State.int rng 2 in
-      let dd = ref R.Stuple.Set.empty in
-      for _ = 1 to k do
-        dd :=
-          R.Stuple.Set.add
-            !arena.D.Arena.stuples.(live.(Random.State.int rng n))
-            !dd
-      done;
-      let prov' = D.Provenance.delete !prov !dd in
-      let arena' = D.Arena.delete !arena ~dd:!dd prov' in
-      let part' = D.Arena.partition_delete !part ~before:!arena ~dd:!dd arena' in
+    match random_live_dd rng !arena with
+    | None -> ()
+    | Some dd ->
+      let prov' = D.Provenance.delete !prov dd in
+      let arena' = D.Arena.delete !arena ~dd prov' in
+      let part' = D.Arena.partition_delete !part ~before:!arena ~dd arena' in
       Alcotest.(check bool) "patched partition = scratch" true
         (partition_equal part' (D.Arena.partition arena'));
       let compacted = D.Arena.compact arena' in
+      Alcotest.check_raises "compacted a' rejected"
+        (Invalid_argument
+           "Arena.partition_delete: arena not from Arena.delete before")
+        (fun () ->
+          ignore
+            (D.Arena.partition_delete !part ~before:!arena ~dd compacted));
       let cpart = D.Arena.compact_partition ~before:arena' part' in
       check_partition_invariants compacted cpart;
       Alcotest.(check bool) "compacted partition = scratch of compacted" true
@@ -216,7 +228,6 @@ let check_partition_stream family seed =
       prov := prov';
       arena := arena';
       part := part'
-    end
   done;
   true
 
@@ -403,6 +414,260 @@ let test_planner_no_decompose () =
         (Float.equal (D.Solution.cost x) (D.Solution.cost y)))
     whole r.D.Planner.solutions
 
+(* ---- the forest tier: one recognizer, one DP pass ---- *)
+
+(* [Dp_tree.applicable] is the DP's structural head alone: it accepts
+   exactly the instances [Dp_tree.solve] answers *)
+let check_recognizer family seed =
+  let prov = family seed in
+  let agrees prov =
+    Alcotest.(check bool) "applicable = solve is Ok"
+      (Result.is_ok (D.Dp_tree.solve prov))
+      (D.Dp_tree.applicable prov)
+  in
+  agrees prov;
+  Array.iter
+    (fun (sh : D.Arena.shard) -> agrees sh.D.Arena.arena.D.Arena.prov)
+    (D.Arena.shatter (D.Arena.build prov));
+  true
+
+let prop_recognizer_forest =
+  qcheck ~count:30 "dp-tree: recognizer = solve is Ok (forest)" seeds
+    (check_recognizer forest_prov)
+
+let prop_recognizer_pivot =
+  qcheck ~count:30 "dp-tree: recognizer = solve is Ok (pivot)" seeds
+    (check_recognizer (pivot_prov ?num_roots:None ?tuples_per_relation:None))
+
+let prop_recognizer_random =
+  qcheck ~count:30 "dp-tree: recognizer = solve is Ok (random)" seeds
+    (check_recognizer random_prov)
+
+(* the recognizer over some of a tombstoned arena's views, read the way
+   fragment seeding reads them *)
+let recognized (a : D.Arena.t) vids =
+  let prov = a.D.Arena.prov in
+  let vt v = a.D.Arena.vtuples.(v) in
+  D.Dp_tree.recognize
+    ~path:(fun v -> D.Vtuple.Map.find (vt v) prov.D.Provenance.witness_path)
+    ~witness:(fun v -> D.Provenance.witness_of prov (vt v))
+    (Array.to_list vids)
+  |> Result.is_ok
+
+(* Fragment seeding asks "would a fresh solve take the forest tier?" of
+   a fragment's roster inside the tombstoned parent, without
+   materializing it. After every random delete, the recognizer on each
+   fragment's roster must answer what [applicable] answers on the
+   materialized fragment — and, over all live views, on the whole
+   post-delete instance. *)
+let check_recognizer_fragments family seed =
+  let rng = rng (seed + 104729) in
+  let prov = ref (family seed) in
+  let arena = ref (D.Arena.build !prov) in
+  let index = ref (D.Component_index.build !arena) in
+  for _ = 1 to 4 do
+    match random_live_dd rng !arena with
+    | None -> ()
+    | Some dd ->
+      let prov' = D.Provenance.delete !prov dd in
+      let arena' = D.Arena.delete !arena ~dd prov' in
+      let index' = D.Component_index.delete !index ~before:!arena ~dd arena' in
+      let live_vids =
+        List.init (D.Arena.num_vtuples arena') Fun.id
+        |> List.filter (fun v -> not (B.mem arena'.D.Arena.dead_v v))
+        |> Array.of_list
+      in
+      Alcotest.(check bool) "live views recognized = applicable"
+        (D.Dp_tree.applicable prov') (recognized arena' live_vids);
+      let nc = (D.Component_index.partition index').D.Arena.num_components in
+      for f = 0 to nc - 1 do
+        let f_vids = D.Component_index.vids_of index' f in
+        if Array.length f_vids > 0 then begin
+          let sh =
+            D.Arena.materialize arena'
+              { D.Arena.p_component = f;
+                p_sids = D.Component_index.sids_of index' f; p_vids = f_vids }
+          in
+          Alcotest.(check bool) "roster recognized = fragment applicable"
+            (D.Dp_tree.applicable sh.D.Arena.arena.D.Arena.prov)
+            (recognized arena' f_vids)
+        end
+      done;
+      prov := prov';
+      arena := arena';
+      index := index'
+  done;
+  true
+
+let prop_recognizer_fragments_forest =
+  qcheck ~count:20 "dp-tree: roster recognizer = fragment (forest)" seeds
+    (check_recognizer_fragments forest_prov)
+
+let prop_recognizer_fragments_pivot =
+  qcheck ~count:20 "dp-tree: roster recognizer = fragment (pivot)" seeds
+    (check_recognizer_fragments
+       (pivot_prov ?num_roots:None ?tuples_per_relation:None))
+
+let prop_recognizer_fragments_random =
+  qcheck ~count:20 "dp-tree: roster recognizer = fragment (random)" seeds
+    (check_recognizer_fragments random_prov)
+
+let classification =
+  Alcotest.testable D.Planner.pp_classification ( = )
+
+(* The tier ladder, written out: brute iff the candidates fit under the
+   threshold, else the forest DP iff it solves the shard, else the
+   approximation portfolio with the parent-threshold LowDeg variant.
+   Every decision must name that tier, and its winner, deleted set and
+   cost must be that tier's portfolio run on the materialized shard. *)
+let check_ladder family ~exact_threshold seed =
+  let prov = family seed in
+  let a = D.Arena.build prov in
+  let cache = D.Planner.create_cache () in
+  let r = D.Planner.solve ~exact_threshold ~cache a in
+  let shards = D.Arena.shatter a in
+  let entries = D.Planner.cache_entries cache in
+  let wide_global = D.Lowdeg.default_wide_threshold a in
+  Alcotest.(check int) "one decision per shard" (Array.length shards)
+    (List.length r.D.Planner.shards);
+  let deleted =
+    List.fold_left2
+      (fun deleted (d : D.Planner.shard_decision) (sh : D.Arena.shard) ->
+        Alcotest.(check int) "component" sh.D.Arena.component d.D.Planner.component;
+        let sa = sh.D.Arena.arena in
+        let tier, only, extra =
+          if Array.length (D.Arena.candidate_ids sa) <= exact_threshold then
+            (D.Planner.Exact_small, [ "brute" ], [])
+          else if Result.is_ok (D.Dp_tree.solve sa.D.Arena.prov) then
+            (D.Planner.Exact_forest, [ "dp-tree" ], [])
+          else
+            ( D.Planner.Approximate,
+              [ "primal-dual"; "lowdeg"; "general"; "greedy" ],
+              [ D.Solvers.lowdeg ~wide_threshold:wide_global () ] )
+        in
+        Alcotest.check classification "tier" tier d.D.Planner.classification;
+        match
+          (D.Portfolio.solutions_report ~exact_threshold ~only ~extra sa)
+            .D.Portfolio.solutions
+        with
+        | [] -> Alcotest.fail "reference tier found nothing"
+        | w :: _ ->
+          Alcotest.(check string) "winner" w.D.Solution.algorithm
+            d.D.Planner.winner;
+          Alcotest.(check bool) "cost bit-identical" true
+            (Float.equal (D.Solution.cost w) d.D.Planner.cost);
+          (match d.D.Planner.fingerprint with
+          | Some fp ->
+            Alcotest.check stuple_set "cached deleted set" w.D.Solution.deleted
+              (List.assoc fp entries).D.Planner.e_deleted
+          | None -> Alcotest.fail "a clean ladder run is always cached");
+          R.Stuple.Set.union deleted w.D.Solution.deleted)
+      R.Stuple.Set.empty r.D.Planner.shards (Array.to_list shards)
+  in
+  (match r.D.Planner.solutions with
+  | [ s ] -> Alcotest.check stuple_set "composite deleted set" deleted s.D.Solution.deleted
+  | _ -> if shards <> [||] then Alcotest.fail "expected one composite");
+  Alcotest.(check int) "no failures" 0 (List.length r.D.Planner.failures);
+  true
+
+let ladder_props =
+  List.concat_map
+    (fun exact_threshold ->
+      List.map
+        (fun (name, family) ->
+          qcheck ~count:20
+            (Printf.sprintf "planner: ladder = reference (%s, threshold %d)" name
+               exact_threshold)
+            seeds
+            (check_ladder family ~exact_threshold))
+        [
+          ("forest", forest_prov);
+          ("pivot", pivot_prov ?num_roots:None ?tuples_per_relation:None);
+          ("random", random_prov);
+        ])
+    [ 0; 16 ]
+
+(* the first shard of a family instance (searching seeds upward) whose
+   arena satisfies [pred] — the shard arena is a one-component instance
+   of its own *)
+let find_shard family pred =
+  let rec go seed =
+    if seed > 500 then Alcotest.fail "no shard satisfies the predicate"
+    else
+      match
+        Array.find_opt
+          (fun (sh : D.Arena.shard) -> pred sh.D.Arena.arena)
+          (D.Arena.shatter (D.Arena.build (family seed)))
+      with
+      | Some sh -> sh.D.Arena.arena
+      | None -> go (seed + 1)
+  in
+  go 0
+
+let dp_crashes (r : D.Planner.report) =
+  List.length
+    (List.filter
+       (fun (f : D.Portfolio.failure) ->
+         String.equal f.D.Portfolio.algorithm "dp-tree"
+         && match f.D.Portfolio.reason with
+            | D.Portfolio.Crashed _ -> true
+            | D.Portfolio.Timed_out -> false)
+       r.D.Planner.failures)
+
+let with_dp_tree_raising f =
+  Fun.protect ~finally:D.Failpoint.reset (fun () ->
+      D.Failpoint.set "solver.dp-tree" D.Failpoint.Raise;
+      f ())
+
+let only_decision (r : D.Planner.report) =
+  match r.D.Planner.shards with
+  | [ d ] -> d
+  | ds -> Alcotest.failf "expected one shard decision, got %d" (List.length ds)
+
+(* The forest attempt crosses the [solver.dp-tree] failpoint on every
+   shard the brute tier did not answer: a crash there drops a forest
+   shard to the approximate tier, recorded and uncached; a shard brute
+   answered never reaches the attempt. *)
+let test_ladder_failpoint () =
+  let forest =
+    find_shard
+      (pivot_prov ?num_roots:None ?tuples_per_relation:None)
+      (fun sa ->
+        let n = Array.length (D.Arena.candidate_ids sa) in
+        D.Dp_tree.applicable sa.D.Arena.prov && n > 0 && n <= 16)
+  in
+  let plan ~exact_threshold =
+    D.Planner.solve ~exact_threshold ~cache:(D.Planner.create_cache ()) forest
+  in
+  let clean = only_decision (plan ~exact_threshold:0) in
+  Alcotest.check classification "unarmed: forest tier" D.Planner.Exact_forest
+    clean.D.Planner.classification;
+  Alcotest.(check bool) "unarmed: cached" true (clean.D.Planner.fingerprint <> None);
+  with_dp_tree_raising (fun () ->
+      let r = plan ~exact_threshold:0 in
+      let d = only_decision r in
+      Alcotest.check classification "crash falls to approximate"
+        D.Planner.Approximate d.D.Planner.classification;
+      Alcotest.(check int) "one dp-tree crash" 1 (dp_crashes r);
+      Alcotest.(check int) "nothing else failed" 1 (List.length r.D.Planner.failures);
+      Alcotest.(check bool) "not cached" true (d.D.Planner.fingerprint = None);
+      let r = plan ~exact_threshold:16 in
+      let d = only_decision r in
+      Alcotest.check classification "brute answers" D.Planner.Exact_small
+        d.D.Planner.classification;
+      Alcotest.(check int) "dp-tree never ran" 0 (List.length r.D.Planner.failures));
+  (* off a pivot forest the attempt still crosses the failpoint *)
+  let approx =
+    find_shard random_prov (fun sa -> not (D.Dp_tree.applicable sa.D.Arena.prov))
+  in
+  with_dp_tree_raising (fun () ->
+      let r =
+        D.Planner.solve ~exact_threshold:0 ~cache:(D.Planner.create_cache ()) approx
+      in
+      Alcotest.check classification "approximate" D.Planner.Approximate
+        (only_decision r).D.Planner.classification;
+      Alcotest.(check int) "the attempt crashed" 1 (dp_crashes r))
+
 (* ---- engine ---- *)
 
 (* the engine's incrementally maintained partition must match scratch
@@ -530,6 +795,17 @@ let suite =
     prop_planner_exact;
     Alcotest.test_case "planner: --no-decompose = portfolio" `Quick
       test_planner_no_decompose;
+    prop_recognizer_forest;
+    prop_recognizer_pivot;
+    prop_recognizer_random;
+    prop_recognizer_fragments_forest;
+    prop_recognizer_fragments_pivot;
+    prop_recognizer_fragments_random;
+  ]
+  @ ladder_props
+  @ [
+    Alcotest.test_case "planner: dp-tree failpoint on the forest tier" `Quick
+      test_ladder_failpoint;
     prop_engine_partition;
     prop_engine_plan_session;
   ]
