@@ -95,15 +95,19 @@ let bench_e6 =
       Test.make ~name:"full_sweep" (Staged.stage (fun () -> D.Lowdeg.solve pv));
     ]
 
-(* E7: DP vs brute force on pivot forests *)
+(* E7: DP vs brute force on pivot forests; the arena DP runs on a
+   compiled arena, the set-based reference on the provenance *)
 let bench_e7 =
   let small = prov (pivot ~scale:8 53) in
   let large = prov (pivot ~scale:100 53) in
+  let small_a = D.Arena.build small and large_a = D.Arena.build large in
   Test.make_grouped ~name:"e7_dp_tree"
     [
-      Test.make ~name:"dp_small" (Staged.stage (fun () -> D.Dp_tree.solve small));
+      Test.make ~name:"dp_small" (Staged.stage (fun () -> D.Dp_tree.solve small_a));
       Test.make ~name:"brute_small" (Staged.stage (fun () -> D.Brute.solve small));
-      Test.make ~name:"dp_large" (Staged.stage (fun () -> D.Dp_tree.solve large));
+      Test.make ~name:"dp_large" (Staged.stage (fun () -> D.Dp_tree.solve large_a));
+      Test.make ~name:"dp_large_reference"
+        (Staged.stage (fun () -> Reference.Dp_tree_reference.solve large));
     ]
 
 (* E8: balanced solvers *)

@@ -250,7 +250,7 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
     let auto () =
       (* exact when the pivot DP applies; else primal-dual on forests;
          else the general reduction *)
-      match D.Dp_tree.solve prov with
+      match D.Dp_tree.solve (D.Arena.build prov) with
       | Ok r -> ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
       | Error _ ->
         if Hypergraph.Dual.is_forest_case queries then
@@ -271,7 +271,7 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
       | Primal_dual -> ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
       | Lowdeg -> ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
       | Dp -> (
-        match D.Dp_tree.solve prov with
+        match D.Dp_tree.solve (D.Arena.build prov) with
         | Ok r -> ("dp", r.D.Dp_tree.outcome)
         | Error e -> failwith (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
       | General -> (
@@ -361,7 +361,7 @@ let run_problem path algo balanced explain_flag =
     let name, outcome =
       match algo with
       | Auto -> (
-        match D.Dp_tree.solve prov with
+        match D.Dp_tree.solve (D.Arena.build prov) with
         | Ok r -> ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
         | Error _ ->
           if Hypergraph.Dual.is_forest_case queries then
@@ -377,7 +377,7 @@ let run_problem path algo balanced explain_flag =
       | Primal_dual -> ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
       | Lowdeg -> ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
       | Dp -> (
-        match D.Dp_tree.solve prov with
+        match D.Dp_tree.solve (D.Arena.build prov) with
         | Ok r -> ("dp", r.D.Dp_tree.outcome)
         | Error e -> failwith (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
       | General -> (

@@ -251,7 +251,7 @@ let e7 () =
         in
         let p = Workload.Pivot_family.generate ~rng:rg spec in
         let prov = D.Provenance.build p in
-        let dp, dp_ms = time (fun () -> D.Dp_tree.solve prov) in
+        let dp, dp_ms = time (fun () -> D.Dp_tree.solve (D.Arena.build prov)) in
         let dp = Result.get_ok dp in
         let brute_cell, match_cell, brute_ms_cell =
           if scale <= 12 then begin

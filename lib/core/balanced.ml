@@ -18,7 +18,7 @@ let solve_general prov =
   result_of prov (Reduction.deletion_of_pos_neg m sol)
 
 let solve_dp prov =
-  match Dp_tree.solve ~objective:Dp_tree.Balanced prov with
+  match Dp_tree.solve ~objective:Dp_tree.Balanced (Arena.build prov) with
   | Ok r -> Ok (result_of prov r.Dp_tree.deletion)
   | Error e -> Error e
 

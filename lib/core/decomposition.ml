@@ -67,6 +67,41 @@ let pp ppf d =
 
 let key st = R.Stuple.to_string st
 
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_cert a b =
+  match (a, b) with
+  | Slice_exact, Slice_exact | Slice_heuristic, Slice_heuristic -> true
+  | Slice_ratio x, Slice_ratio y -> same_float x y
+  | _ -> false
+
+let same_node (k, n) (k', n') =
+  String.equal k k'
+  && Option.equal String.equal n.fn_parent n'.fn_parent
+  && n.fn_depth = n'.fn_depth
+  && Bool.equal n.fn_cut n'.fn_cut
+  && same_float n.fn_value n'.fn_value
+  && same_float n.fn_slack n'.fn_slack
+
+let equal_tree t t' =
+  String.equal t.ft_pivot t'.ft_pivot && List.equal same_node t.ft_nodes t'.ft_nodes
+
+let equal d d' =
+  d == d'
+  || d.d_vtuples = d'.d_vtuples
+     && List.equal
+          (fun p p' ->
+            String.equal p.p_label p'.p_label
+            && R.Stuple.Set.equal p.p_deleted p'.p_deleted
+            && same_float p.p_cost p'.p_cost
+            && same_cert p.p_cert p'.p_cert)
+          d.d_parts d'.d_parts
+     &&
+     match (d.d_structure, d'.d_structure) with
+     | Witness_groups, Witness_groups | Contributions, Contributions -> true
+     | Forest ts, Forest ts' -> List.equal equal_tree ts ts'
+     | _ -> false
+
 (* Per-candidate contribution parts for the approximate tier: every
    killed preserved view tuple's weight is charged to the
    content-minimal deleted member of its witness, so the part costs are
@@ -186,21 +221,21 @@ let restrict_forest (tree : forest_tree) ~surviving ~lost_end =
         (match flip with
         | Some (k, _) -> fail "surviving node %s would flip to cut" k
         | None ->
+          (* a node the discount leaves bit-identical is shared with
+             the source tree, so chained cache entries cost one list
+             cell per unchanged node *)
           let nodes' =
             List.filter_map
-              (fun (k, n) ->
+              (fun ((k, n) as node) ->
                 if not (surviving k) then None
                 else
                   let d = get delta k in
-                  Some
-                    ( k,
-                      {
-                        n with
-                        fn_value = n.fn_value -. d;
-                        fn_slack =
-                          (if n.fn_cut then n.fn_slack
-                           else n.fn_slack -. (get acc k -. d));
-                      } ))
+                  let value = n.fn_value -. d in
+                  let slack =
+                    if n.fn_cut then n.fn_slack else n.fn_slack -. (get acc k -. d)
+                  in
+                  if same_float value n.fn_value && same_float slack n.fn_slack then Some node
+                  else Some (k, { n with fn_value = value; fn_slack = slack }))
               tree.ft_nodes
           in
           Ok { tree with ft_nodes = nodes' }))

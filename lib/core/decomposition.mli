@@ -68,6 +68,14 @@ val pp_cert_slice : Format.formatter -> cert_slice -> unit
 (** Stuple content key, [Relational.Stuple.to_string]. *)
 val key : Relational.Stuple.t -> string
 
+(** Bit-for-bit equality: floats compare by bit pattern, deleted sets
+    as sets. *)
+val equal : t -> t -> bool
+
+(** [equal] on one recorded tree: pivot, then every node's key and
+    fields in order. *)
+val equal_tree : forest_tree -> forest_tree -> bool
+
 (** Per-candidate contribution parts for an approximate answer (one part
     per deleted stuple, costs disjoint and summing to the outcome cost). *)
 val contributions :

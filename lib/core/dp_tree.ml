@@ -1,5 +1,5 @@
 module R = Relational
-module Tg = Hypergraph.Tuple_graph
+module Bitset = Setcover.Bitset
 
 let src = Logs.Src.create "deleprop.dp_tree" ~doc:"DPTreeVSE (Algorithm 4)"
 
@@ -13,9 +13,7 @@ type result = {
   pivots : R.Stuple.t list;
   optimum : float;
   decomp : Decomposition.forest_tree list;
-      (** one recorded tree per non-empty graph component, in [pivots]
-          order: node parent/depth/cut/value/slack — what
-          {!Decomposition.restrict_forest} replays after a split *)
+  tree_of_sid : int array;
 }
 
 type error =
@@ -26,192 +24,309 @@ let pp_error ppf = function
   | Not_a_forest -> Format.fprintf ppf "data dual graph is not a forest"
   | No_pivot -> Format.fprintf ppf "a component has no pivot tuple"
 
-(* The structural head of Algorithm 4, shared by [solve] and every
-   "would the forest tier take this?" question: build the tuple graph
-   from the views' witness paths, root each graph component once (a
-   failed rooting is a cycle), bucket the views by component, and find a
-   pivot for every component that carries a view. Witnesses are read
-   only once the graph is known to be a forest. Components come out in
-   reverse discovery order and each bucket keeps the views' order — the
-   order the DP folds its float sums in. *)
-let shape ~path ~witness views =
-  let graph = Tg.of_witness_paths (List.map path views) in
-  let exception Fail of error in
-  try
-    let comp_of, n =
-      List.fold_left
-        (fun (comp_of, n) u ->
-          if R.Stuple.Map.mem u comp_of then (comp_of, n)
-          else
-            match Tg.Rooted.at graph u with
-            | None -> raise (Fail Not_a_forest)
-            | Some r ->
-              ( List.fold_left
-                  (fun m u -> R.Stuple.Map.add u n m)
-                  comp_of (Tg.Rooted.by_increasing_depth r),
-                n + 1 ))
-        (R.Stuple.Map.empty, 0) (Tg.vertices graph)
+exception Fail of error
+
+let is_zero v = Int64.equal (Int64.bits_of_float v) 0L
+
+(* [path] as sids: each member is located in [v]'s witness row, which
+   holds the path's distinct members (at most the body arity) *)
+let sid_path (a : Arena.t) v path =
+  let row = a.Arena.witness.(v) in
+  let sid st =
+    let rec find i =
+      let s = row.(i) in
+      if a.Arena.stuples.(s) == st || R.Stuple.equal a.Arena.stuples.(s) st then s
+      else find (i + 1)
     in
-    let buckets = Array.make n [] in
-    List.iter
-      (fun v ->
-        match R.Stuple.Map.find_opt (R.Stuple.Set.choose (witness v)) comp_of with
-        | Some c -> buckets.(c) <- v :: buckets.(c)
-        | None -> ())
-      views;
-    let comps =
-      Array.fold_left
-        (fun acc bucket ->
-          match List.rev bucket with
-          | [] -> acc
-          | vs -> (
-            match Tg.find_pivot graph (List.map witness vs) with
-            | None -> raise (Fail No_pivot)
-            | Some pivot -> (pivot, vs) :: acc))
-        [] buckets
-    in
-    Ok (graph, comps)
-  with Fail e -> Error e
+    find 0
+  in
+  Array.of_list (List.map sid path)
 
-let recognize ~path ~witness views = Result.map ignore (shape ~path ~witness views)
+(* every live view with its sid path, ascending: the live vids and the
+   live provenance's [witness_path] bindings run in the same order *)
+let all_paths (a : Arena.t) =
+  let n = Arena.live_vtuples a in
+  let vids = Array.make n 0 and paths = Array.make n [||] in
+  let v = ref 0 and i = ref 0 in
+  Vtuple.Map.iter
+    (fun _ path ->
+      while Bitset.mem a.Arena.dead_v !v do incr v done;
+      vids.(!i) <- !v;
+      paths.(!i) <- sid_path a !v path;
+      incr i;
+      incr v)
+    a.Arena.prov.Provenance.witness_path;
+  (vids, paths)
 
-(* every view tuple with its witness path, in descending order *)
-let shape_of (prov : Provenance.t) =
-  shape ~path:snd
-    ~witness:(fun (vt, _) -> Provenance.witness_of prov vt)
-    (Vtuple.Map.fold (fun vt path acc -> (vt, path) :: acc)
-       prov.Provenance.witness_path [])
+(* the given views' sid paths, tombstoned vids skipped *)
+let roster_paths (a : Arena.t) vids =
+  let live = List.filter (fun v -> not (Bitset.mem a.Arena.dead_v v)) (Array.to_list vids) in
+  let path v =
+    sid_path a v (Vtuple.Map.find a.Arena.vtuples.(v) a.Arena.prov.Provenance.witness_path)
+  in
+  (Array.of_list live, Array.of_list (List.map path live))
 
-let solve ?(objective = Standard) ?budget (prov : Provenance.t) =
-  match shape_of prov with
-  | Error e -> Error e
-  | Ok (graph, comps) ->
-    let weights = prov.Provenance.problem.Problem.weights in
-    let deletion, pivots, optimum, trees =
+(* The structural head of Algorithm 4 over views [vids] with sid paths
+   [paths]. Vertices are the path members, renumbered densely in
+   ascending sid order ("locals"); the edges are the distinct
+   consecutive pairs, sorted. *)
+type shape = {
+  verts : int array;             (* local -> sid, ascending *)
+  edges : int array;             (* distinct edges [x * n + y], x < y, ascending *)
+  lwit : int array array;        (* view -> witness members as locals, ascending *)
+  comps : (int * int list) list;
+      (* per graph component, in reverse discovery (ascending smallest
+         sid) order: the pivot and the component's views in descending
+         vid order — the fold orders bit-identity with the set-based
+         oracle requires *)
+}
+
+(* The pivot test, per witness. On a forest the witness members induce
+   the tree spanned by the distinct edges of its own path, so the
+   witness is the root path to its deepest member exactly when that
+   tree is a path graph (no member of degree > 2) and the root is one
+   of its ends (degree ≤ 1). [ends] returns those ends, ascending, or
+   [] when the witness is no path graph. *)
+let ends lpath lw =
+  let m = Array.length lw in
+  let deg = Array.make m 0 in
+  let idx x =
+    let rec go i = if lw.(i) = x then i else go (i + 1) in
+    go 0
+  in
+  let k = Array.length lpath in
+  for j = 0 to k - 2 do
+    let x = lpath.(j) and y = lpath.(j + 1) in
+    let seen = ref false in
+    for j' = 0 to j - 1 do
+      let x' = lpath.(j') and y' = lpath.(j' + 1) in
+      if (x = x' && y = y') || (x = y' && y = x') then seen := true
+    done;
+    if not !seen then begin
+      deg.(idx x) <- deg.(idx x) + 1;
+      deg.(idx y) <- deg.(idx y) + 1
+    end
+  done;
+  if Array.exists (fun d -> d > 2) deg then []
+  else List.filter (fun x -> deg.(idx x) <= 1) (Array.to_list lw)
+
+let shape (a : Arena.t) vids paths =
+  let verts =
+    Array.fold_left (fun acc v -> Array.fold_right List.cons a.Arena.witness.(v) acc) [] vids
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let n = Array.length verts in
+  let local sid =
+    let lo = ref 0 and hi = ref n in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if verts.(mid) <= sid then lo := mid else hi := mid
+    done;
+    !lo
+  in
+  let lpaths = Array.map (Array.map local) paths in
+  let lwit = Array.map (fun v -> Array.map local a.Arena.witness.(v)) vids in
+  let edges =
+    let acc = ref [] in
+    Array.iter
+      (fun lp ->
+        for j = 0 to Array.length lp - 2 do
+          let x = lp.(j) and y = lp.(j + 1) in
+          if x = y then raise (Fail Not_a_forest);
+          acc := (min x y * n) + max x y :: !acc
+        done)
+      lpaths;
+    Array.of_list (List.sort_uniq Int.compare !acc)
+  in
+  (* union-find over the distinct edges: an edge inside one set closes
+     a cycle. The smaller root always wins, so a component's root is its
+     smallest vertex and ascending roots are the discovery order. *)
+  let uf = Array.init n Fun.id in
+  let rec find x =
+    let p = uf.(x) in
+    if p = x then x
+    else
+      let r = find p in
+      uf.(x) <- r;
+      r
+  in
+  Array.iter
+    (fun e ->
+      let rx = find (e / n) and ry = find (e mod n) in
+      if rx = ry then raise (Fail Not_a_forest);
+      if rx < ry then uf.(ry) <- rx else uf.(rx) <- ry)
+    edges;
+  let buckets = Array.make n [] in
+  for i = 0 to Array.length vids - 1 do
+    let r = find lwit.(i).(0) in
+    buckets.(r) <- i :: buckets.(r)
+  done;
+  let pivot views =
+    let common =
       List.fold_left
-        (fun (deletion, pivots, optimum, trees) (pivot, views) ->
+        (fun cands i ->
+          let e = ends lpaths.(i) lwit.(i) in
+          List.filter (fun c -> List.mem c e) cands)
+        (match views with i :: _ -> ends lpaths.(i) lwit.(i) | [] -> [])
+        views
+    in
+    match common with c :: _ -> c | [] -> raise (Fail No_pivot)
+  in
+  (* every vertex lies on some view's path: each root has a bucket *)
+  let comps =
+    Array.fold_left
+      (fun acc views -> if views = [] then acc else (pivot views, views) :: acc)
+      [] buckets
+  in
+  { verts; edges; lwit; comps }
+
+let recognize_paths a (vids, paths) =
+  match shape a vids paths with
+  | _ -> Ok ()
+  | exception Fail e -> Error e
+
+let recognize a vids = recognize_paths a (roster_paths a vids)
+
+let solve ?(objective = Standard) ?budget (a : Arena.t) =
+  let vids, paths = all_paths a in
+  match shape a vids paths with
+  | exception Fail e -> Error e
+  | { verts; edges; lwit; comps } ->
+    let n = Array.length verts in
+    (* adjacency lists, ascending: prepending in descending edge order
+       leaves each vertex's smaller neighbours before its larger ones *)
+    let adj = Array.make n [] in
+    for j = Array.length edges - 1 downto 0 do
+      let x = edges.(j) / n and y = edges.(j) mod n in
+      adj.(x) <- y :: adj.(x);
+      adj.(y) <- x :: adj.(y)
+    done;
+    let depth = Array.make n 0 and parent = Array.make n (-1) in
+    let children = Array.make n [] in
+    let order = Array.make n 0 in
+    let pres_end = Array.make n 0.0 and bad_end = Array.make n 0.0 in
+    let has_bad_end = Array.make n false in
+    let subtree_pres = Array.make n 0.0 and value = Array.make n 0.0 in
+    let cut = Array.make n false and slack = Array.make n 0.0 in
+    let key = Array.make n "" and parent_key = Array.make n None in
+    let tree_of_sid = Array.make (Arena.num_stuples a) (-1) in
+    let stuple x = a.Arena.stuples.(verts.(x)) in
+    let deleted = ref [] in
+    let _, pivots, optimum, trees =
+      List.fold_left
+        (fun (t, pivots, optimum, trees) (pivot, views) ->
           Log.debug (fun m ->
-              m "component pivot %a, %d view tuples" R.Stuple.pp pivot
+              m "component pivot %a, %d view tuples" R.Stuple.pp (stuple pivot)
                 (List.length views));
-          let rooted =
-            match Tg.Rooted.at graph pivot with
-            | Some r -> r
-            | None -> assert false (* [shape] rooted every component *)
-          in
-          (* endpoint of each view tuple = deepest witness tuple *)
-          let key st = R.Stuple.to_string st in
-          let w_pres_end : (string, float) Hashtbl.t = Hashtbl.create 64 in
-          let w_bad_end : (string, float) Hashtbl.t = Hashtbl.create 64 in
+          (* root once, BFS from the pivot: neighbours ascending, each
+             node's children prepended (so descending) *)
+          order.(0) <- pivot;
+          depth.(pivot) <- 0;
+          let head = ref 0 and tail = ref 1 in
+          while !head < !tail do
+            let x = order.(!head) in
+            incr head;
+            List.iter
+              (fun y ->
+                if y <> parent.(x) then begin
+                  depth.(y) <- depth.(x) + 1;
+                  parent.(y) <- x;
+                  children.(x) <- y :: children.(x);
+                  order.(!tail) <- y;
+                  incr tail
+                end)
+              adj.(x)
+          done;
+          let size = !tail in
+          (* endpoint of each view tuple = deepest witness tuple, ties to
+             the smallest sid *)
           List.iter
-            (fun (vt, _) ->
+            (fun i ->
               Budget.tick_o budget;
-              let w = Provenance.witness_of prov vt in
-              let endpoint =
-                R.Stuple.Set.fold
-                  (fun v best ->
-                    match best with
-                    | None -> Some v
-                    | Some b ->
-                      if Tg.Rooted.depth rooted v > Tg.Rooted.depth rooted b then Some v
-                      else best)
-                  w None
-                |> Option.get
-              in
-              let tbl =
-                if Vtuple.Set.mem vt prov.Provenance.bad then w_bad_end else w_pres_end
-              in
-              let k = key endpoint in
-              Hashtbl.replace tbl k
-                (Weights.get weights vt
-                +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k)))
-            views;
-          let pres_end st = Option.value ~default:0.0 (Hashtbl.find_opt w_pres_end (key st)) in
-          let bad_end st = Option.value ~default:0.0 (Hashtbl.find_opt w_bad_end (key st)) in
-          let has_bad_end st = Hashtbl.mem w_bad_end (key st) in
-          (* bottom-up DP *)
-          let subtree_pres : (string, float) Hashtbl.t = Hashtbl.create 64 in
-          let value : (string, float) Hashtbl.t = Hashtbl.create 64 in
-          let cut : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-          let slack : (string, float) Hashtbl.t = Hashtbl.create 64 in
-          let order = Tg.Rooted.by_increasing_depth rooted in
-          let order_rev = List.rev order in
-          List.iter
-            (fun st ->
-              Budget.tick_o budget;
-              let children = Tg.Rooted.children rooted st in
-              let sp =
-                pres_end st
-                +. List.fold_left
-                     (fun acc c -> acc +. Hashtbl.find subtree_pres (key c))
-                     0.0 children
-              in
-              Hashtbl.replace subtree_pres (key st) sp;
-              let children_value =
-                List.fold_left
-                  (fun acc c -> acc +. Hashtbl.find value (key c))
-                  0.0 children
-              in
-              let cut_cost = sp in
-              let nocut_cost =
-                match objective with
-                | Standard ->
-                  if has_bad_end st then infinity else children_value
-                | Balanced -> bad_end st +. children_value
-              in
-              if cut_cost < nocut_cost then begin
-                Hashtbl.replace value (key st) cut_cost;
-                Hashtbl.replace cut (key st) true
+              let lw = lwit.(i) in
+              let e = Array.fold_left (fun b x -> if depth.(x) > depth.(b) then x else b) lw.(0) lw in
+              let v = vids.(i) in
+              let w = a.Arena.weights.(v) in
+              if Bitset.mem a.Arena.bad v then begin
+                bad_end.(e) <- w +. bad_end.(e);
+                has_bad_end.(e) <- true
               end
-              else begin
-                Hashtbl.replace value (key st) nocut_cost;
-                Hashtbl.replace cut (key st) false;
-                (* how much preserved weight the subtree can lose
-                   before cutting becomes strictly cheaper *)
-                Hashtbl.replace slack (key st) (cut_cost -. nocut_cost)
-              end)
-            order_rev;
+              else pres_end.(e) <- w +. pres_end.(e))
+            views;
+          (* bottom-up DP *)
+          for j = size - 1 downto 0 do
+            Budget.tick_o budget;
+            let x = order.(j) in
+            let sp =
+              pres_end.(x)
+              +. List.fold_left (fun acc c -> acc +. subtree_pres.(c)) 0.0 children.(x)
+            in
+            subtree_pres.(x) <- sp;
+            let children_value =
+              List.fold_left (fun acc c -> acc +. value.(c)) 0.0 children.(x)
+            in
+            let cut_cost = sp in
+            let nocut_cost =
+              match objective with
+              | Standard -> if has_bad_end.(x) then infinity else children_value
+              | Balanced -> bad_end.(x) +. children_value
+            in
+            if cut_cost < nocut_cost then begin
+              value.(x) <- cut_cost;
+              cut.(x) <- true
+            end
+            else begin
+              value.(x) <- nocut_cost;
+              (* how much preserved weight the subtree can lose before
+                 cutting becomes strictly cheaper *)
+              slack.(x) <- cut_cost -. nocut_cost
+            end
+          done;
           (* reconstruct: descend while not cut *)
-          let deletion = ref deletion in
-          let rec walk st =
-            if Hashtbl.find cut (key st) then
-              deletion := R.Stuple.Set.add st !deletion
-            else List.iter walk (Tg.Rooted.children rooted st)
+          let rec walk x =
+            if cut.(x) then deleted := verts.(x) :: !deleted
+            else List.iter walk children.(x)
           in
           walk pivot;
-          (* record the rooted tree: parent/depth plus the DP's
-             per-node decision state, keyed by tuple content *)
-          let parent_of : (string, string) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun st ->
-              List.iter
-                (fun c -> Hashtbl.replace parent_of (key c) (key st))
-                (Tg.Rooted.children rooted st))
-            order;
+          (* record the rooted tree in BFS order, one content key per
+             node. Siblings share their parent's key option and zeros
+             share the literal: the cache holds these records for as
+             long as the entry lives. *)
+          for j = 0 to size - 1 do
+            let x = order.(j) in
+            key.(x) <- Decomposition.key (stuple x);
+            if children.(x) <> [] then parent_key.(x) <- Some key.(x);
+            tree_of_sid.(verts.(x)) <- t
+          done;
           let nodes =
-            List.map
-              (fun st ->
-                let k = key st in
-                ( k,
+            List.init size (fun j ->
+                let x = order.(j) in
+                ( key.(x),
                   {
-                    Decomposition.fn_parent = Hashtbl.find_opt parent_of k;
-                    fn_depth = Tg.Rooted.depth rooted st;
-                    fn_cut = Hashtbl.find cut k;
-                    fn_value = Hashtbl.find value k;
-                    fn_slack =
-                      Option.value ~default:0.0 (Hashtbl.find_opt slack k);
+                    Decomposition.fn_parent =
+                      (if parent.(x) < 0 then None else parent_key.(parent.(x)));
+                    fn_depth = depth.(x);
+                    fn_cut = cut.(x);
+                    fn_value = (let v = value.(x) in if is_zero v then 0.0 else v);
+                    fn_slack = (let v = slack.(x) in if is_zero v then 0.0 else v);
                   } ))
-              order
           in
-          let tree =
-            { Decomposition.ft_pivot = key pivot; ft_nodes = nodes }
-          in
-          ( !deletion,
-            pivot :: pivots,
-            optimum +. Hashtbl.find value (key pivot),
-            tree :: trees ))
-        (R.Stuple.Set.empty, [], 0.0, []) comps
+          let tree = { Decomposition.ft_pivot = key.(pivot); ft_nodes = nodes } in
+          (t + 1, stuple pivot :: pivots, optimum +. value.(pivot), tree :: trees))
+        (0, [], 0.0, []) comps
     in
-    let outcome = Side_effect.eval prov deletion in
-    Ok { deletion; outcome; pivots = List.rev pivots; optimum; decomp = List.rev trees }
+    let deletion = Arena.to_stuple_set a !deleted in
+    let outcome = Side_effect.eval a.Arena.prov deletion in
+    Ok
+      {
+        deletion;
+        outcome;
+        pivots = List.rev pivots;
+        optimum;
+        decomp = List.rev trees;
+        tree_of_sid;
+      }
 
-let applicable prov = Result.is_ok (shape_of prov)
+let applicable prov =
+  let a = Arena.build prov in
+  Result.is_ok (recognize_paths a (all_paths a))

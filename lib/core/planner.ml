@@ -218,6 +218,21 @@ let entry_reusable ~wide_global e =
   | Approximate ->
     threshold_bucket e.e_threshold = threshold_bucket wide_global
 
+(* An answer entering the cache under a fingerprint whose held entry
+   records a bit-identical decomposition keeps the held record, so
+   re-solves and re-seeds of one shard share a single tree (and the
+   restricted trees seeded from it share its unchanged nodes) instead of
+   each pinning a copy for as long as the entry lives. The lookup's
+   recency bump is immediately superseded by the [add] that follows. *)
+let cache_add c fp e =
+  let e =
+    match (Setcover.Lru.find c.lru fp, e.e_decomposition) with
+    | Some { e_decomposition = Some held; _ }, Some d when Decomposition.equal held d ->
+      { e with e_decomposition = Some held }
+    | _ -> e
+  in
+  Setcover.Lru.add c.lru fp e
+
 (* the parent-threshold LowDeg variant certifies Ratio (2 · threshold)
    with the parent's exact float — a fresh solve under an equal-bucket
    threshold returns the same deletion at the same cost but quotes the
@@ -471,7 +486,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
                     match cache with
                     | Some c when cacheable r w ->
                       let fp = Fingerprint.arena sh.Arena.arena in
-                      Setcover.Lru.add c.lru fp
+                      cache_add c fp
                         { e_classification = cls;
                           e_winner = w.Solution.algorithm;
                           e_deleted = w.Solution.deleted;
@@ -755,15 +770,7 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
       List.mem e.e_winner [ "primal-dual"; "lowdeg"; "lowdeg-global"; "greedy" ]
     in
     (* would a fresh solve of the fragment take the forest tier? *)
-    let forest () =
-      let prov = after.Arena.prov in
-      let vt v = after.Arena.vtuples.(v) in
-      Dp_tree.recognize
-        ~path:(fun v -> Vtuple.Map.find (vt v) prov.Provenance.witness_path)
-        ~witness:(fun v -> Provenance.witness_of prov (vt v))
-        (Array.to_list f_vids)
-      |> Result.is_ok
-    in
+    let forest () = Result.is_ok (Dp_tree.recognize after f_vids) in
     if
       winner_ok
       && local_bucket nvf = local_bucket d.Decomposition.d_vtuples
@@ -898,7 +905,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                         p_vids = f_vids }
                     in
                     let fpf = Fingerprint.shard ~bad:bb after ps in
-                    Setcover.Lru.add c.lru fpf e';
+                    cache_add c fpf e';
                     Component_index.record_memo after_index ~component:f
                       ~fp:fpf ~bad;
                     Component_index.mark_clean after_index f

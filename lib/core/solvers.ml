@@ -65,33 +65,31 @@ let brute_decomposition (a : Arena.t) (r : Brute.result) =
     d_structure = Decomposition.Witness_groups;
   }
 
+(* owners come from the DP's own tree ids: a tuple belongs to the tree
+   [r.tree_of_sid] names, labelled by that tree's pivot key *)
 let dp_decomposition (a : Arena.t) (r : Dp_tree.result) =
   let prov = a.Arena.prov in
-  let member : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (t : Decomposition.forest_tree) ->
-      List.iter
-        (fun (k, _) -> Hashtbl.replace member k t.Decomposition.ft_pivot)
-        t.Decomposition.ft_nodes)
-    r.Dp_tree.decomp;
-  let owner_of st = Hashtbl.find_opt member (Decomposition.key st) in
+  let labels =
+    Array.of_list (List.map (fun t -> t.Decomposition.ft_pivot) r.Dp_tree.decomp)
+  in
+  let tree_of st = r.Dp_tree.tree_of_sid.(Arena.stuple_id a st) in
+  let owner_of st =
+    let t = tree_of st in
+    if t < 0 then None else Some labels.(t)
+  in
   let cost_of = slice_costs prov ~owner_of ~deleted:r.Dp_tree.deletion r.Dp_tree.outcome in
   {
     Decomposition.d_vtuples = Arena.live_vtuples a;
     d_parts =
-      List.map
-        (fun (t : Decomposition.forest_tree) ->
-          let label = t.Decomposition.ft_pivot in
+      List.mapi
+        (fun t label ->
           {
             Decomposition.p_label = label;
-            p_deleted =
-              R.Stuple.Set.filter
-                (fun st -> owner_of st = Some label)
-                r.Dp_tree.deletion;
+            p_deleted = R.Stuple.Set.filter (fun st -> tree_of st = t) r.Dp_tree.deletion;
             p_cost = cost_of label;
             p_cert = Decomposition.Slice_exact;
           })
-        r.Dp_tree.decomp;
+        (Array.to_list labels);
     d_structure = Decomposition.Forest r.Dp_tree.decomp;
   }
 
@@ -162,7 +160,7 @@ module Dp_tree_s : Solver.S = struct
   let exact = true
 
   let solve ?budget (a : Arena.t) =
-    match Dp_tree.solve ?budget a.Arena.prov with
+    match Dp_tree.solve ?budget a with
     | Ok r ->
       Some
         (solution ~name ~certificate:Solution.Exact

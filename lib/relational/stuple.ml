@@ -9,7 +9,8 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let pp ppf t = Format.fprintf ppf "%s%a" t.rel Tuple.pp t.tuple
-let to_string t = Format.asprintf "%a" pp t
+(* byte-identical to [pp], without a formatter *)
+let to_string t = t.rel ^ Tuple.to_string t.tuple
 
 module Ord = struct
   type nonrec t = t

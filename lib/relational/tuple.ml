@@ -39,7 +39,8 @@ let pp ppf t =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)
     (to_list t)
 
-let to_string t = Format.asprintf "%a" pp t
+(* byte-identical to [pp], without a formatter *)
+let to_string t = "(" ^ String.concat ", " (List.map Value.to_string (to_list t)) ^ ")"
 
 module Ord = struct
   type nonrec t = t

@@ -30,7 +30,10 @@ let pp ppf = function
   | Int x -> Format.pp_print_int ppf x
   | Str s -> Format.pp_print_string ppf s
 
-let to_string v = Format.asprintf "%a" pp v
+(* byte-identical to [pp], without a formatter *)
+let to_string = function
+  | Int x -> string_of_int x
+  | Str s -> s
 
 let is_int_literal s =
   s <> ""

@@ -422,7 +422,7 @@ let check_recognizer family seed =
   let prov = family seed in
   let agrees prov =
     Alcotest.(check bool) "applicable = solve is Ok"
-      (Result.is_ok (D.Dp_tree.solve prov))
+      (Result.is_ok (D.Dp_tree.solve (D.Arena.build prov)))
       (D.Dp_tree.applicable prov)
   in
   agrees prov;
@@ -445,14 +445,7 @@ let prop_recognizer_random =
 
 (* the recognizer over some of a tombstoned arena's views, read the way
    fragment seeding reads them *)
-let recognized (a : D.Arena.t) vids =
-  let prov = a.D.Arena.prov in
-  let vt v = a.D.Arena.vtuples.(v) in
-  D.Dp_tree.recognize
-    ~path:(fun v -> D.Vtuple.Map.find (vt v) prov.D.Provenance.witness_path)
-    ~witness:(fun v -> D.Provenance.witness_of prov (vt v))
-    (Array.to_list vids)
-  |> Result.is_ok
+let recognized (a : D.Arena.t) vids = Result.is_ok (D.Dp_tree.recognize a vids)
 
 (* Fragment seeding asks "would a fresh solve take the forest tier?" of
    a fragment's roster inside the tombstoned parent, without
@@ -538,7 +531,7 @@ let check_ladder family ~exact_threshold seed =
         let tier, only, extra =
           if Array.length (D.Arena.candidate_ids sa) <= exact_threshold then
             (D.Planner.Exact_small, [ "brute" ], [])
-          else if Result.is_ok (D.Dp_tree.solve sa.D.Arena.prov) then
+          else if Result.is_ok (D.Dp_tree.solve sa) then
             (D.Planner.Exact_forest, [ "dp-tree" ], [])
           else
             ( D.Planner.Approximate,

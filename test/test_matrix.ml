@@ -106,7 +106,7 @@ let check_family f seed () =
     | _ -> ())
   | None -> Alcotest.fail "general approx failed");
   (* dp where applicable: must equal the optimum *)
-  (match (D.Dp_tree.solve prov, opt) with
+  (match (D.Dp_tree.solve (D.Arena.build prov), opt) with
   | Ok dp, Some o ->
     Alcotest.(check bool) "dp = optimum when applicable" true
       (Float.abs (dp.D.Dp_tree.outcome.D.Side_effect.cost -. o) < 1e-9)

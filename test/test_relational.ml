@@ -54,6 +54,38 @@ let prop_tuple_project_id =
   qcheck "projecting all positions is identity" tuple_gen (fun t ->
       R.Tuple.equal t (R.Tuple.project t (List.init (R.Tuple.arity t) Fun.id)))
 
+(* content keys render directly, byte-identical to the Format printers:
+   negative and extreme ints, empty strings, and strings carrying the
+   separator, parentheses, newlines or more than a margin's worth of
+   characters *)
+let awkward_value_gen =
+  let open QCheck2.Gen in
+  let long = map (fun n -> String.make n 'x' ^ ", (\n)") (int_range 79 200) in
+  oneof
+    [
+      map R.Value.int int;
+      map R.Value.int (oneofl [ min_int; max_int; -1; 0 ]);
+      map R.Value.str (string_size ~gen:printable (int_range 0 12));
+      map R.Value.str (oneofl [ ""; ", "; "("; ")"; "a, b"; "(x)"; "\n"; "l1\nl2"; " " ]);
+      map R.Value.str long;
+    ]
+
+let prop_to_string_direct =
+  let open QCheck2.Gen in
+  let gen =
+    pair (oneofl [ ""; "T1"; "R(x)"; "a, b"; "long\nrel" ])
+      (list_size (int_range 0 6) awkward_value_gen)
+  in
+  qcheck ~count:300 "to_string: direct rendering = Format printers" gen
+    (fun (rel, vs) ->
+      let t = R.Tuple.of_list vs in
+      let st = R.Stuple.make rel t in
+      List.for_all
+        (fun v -> String.equal (R.Value.to_string v) (Format.asprintf "%a" R.Value.pp v))
+        vs
+      && String.equal (R.Tuple.to_string t) (Format.asprintf "%a" R.Tuple.pp t)
+      && String.equal (R.Stuple.to_string st) (Format.asprintf "%a" R.Stuple.pp st))
+
 (* ---- schemas ---- *)
 
 let test_schema_make () =
@@ -204,6 +236,7 @@ let suite =
     Alcotest.test_case "tuple: compare" `Quick test_tuple_compare;
     prop_tuple_compare_refl;
     prop_tuple_project_id;
+    prop_to_string_direct;
     Alcotest.test_case "schema: make / key projection" `Quick test_schema_make;
     Alcotest.test_case "schema: invalid inputs rejected" `Quick test_schema_invalid;
     Alcotest.test_case "schema: database schema" `Quick test_schema_db;

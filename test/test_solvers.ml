@@ -147,7 +147,7 @@ let prop_dp_exact =
   qcheck ~count:60 "DPTreeVSE = brute force on pivot forests" seeds (fun seed ->
       let p = pivot_problem seed in
       let prov = D.Provenance.build p in
-      match D.Dp_tree.solve prov, D.Brute.solve prov with
+      match D.Dp_tree.solve (D.Arena.build prov), D.Brute.solve prov with
       | Ok dp, Some opt ->
         feq dp.D.Dp_tree.outcome.D.Side_effect.cost opt.D.Brute.outcome.D.Side_effect.cost
         && dp.D.Dp_tree.outcome.D.Side_effect.feasible
@@ -170,7 +170,7 @@ let test_dp_rejects_non_pivot () =
      and must answer Ok or a structured error *)
   let p = star_problem 7 in
   let prov = D.Provenance.build p in
-  match D.Dp_tree.solve prov with
+  match D.Dp_tree.solve (D.Arena.build prov) with
   | Ok r -> Alcotest.(check bool) "if Ok then feasible" true r.D.Dp_tree.outcome.D.Side_effect.feasible
   | Error _ -> ()
 
