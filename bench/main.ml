@@ -666,12 +666,14 @@ let bench_shardcache =
    sessions — what the tombstone arenas buy. The session shape is the
    shardcache group's (each round commits a delete + re-insert confined
    to one component, then solves the standing ΔV without applying), but
-   the variants cross the compaction regime instead of the cache:
-   `eager` (compact_threshold 0) compacts the whole index on every
-   delete and sorted-run-merges every insert — every session's
-   behaviour before the tombstone arenas — while `lazy` (0.5) tombstones
-   and resurrects in place, so its per-round delta work is O(component)
-   and the only index-sized cost left is the clean-shard fingerprint
+   the variants cross the compaction schedule instead of the cache:
+   `eager` commits the round's delete and re-insert as two deltas and
+   calls [Engine.compact] after each, so the whole index is gathered on
+   every delete and every insert sorted-run-merges — every session's
+   behaviour before the tombstone arenas — while `lazy` commits one
+   delta and leaves compaction to the engine: it tombstones and
+   resurrects in place, so its per-round delta work is O(component) and
+   the only index-sized cost left is the clean-shard fingerprint
    sweep. The scales double the database (pivot roots 40/80/160 with
    tuples growing in step) while the touched component's size stays
    constant: the lazy round cost must grow sublinearly in ‖D‖ (only the
@@ -694,9 +696,15 @@ let bench_deltafloor =
       arena.D.Arena.vtuples;
     Hashtbl.fold (fun view ts acc -> D.Delta_request.make ~view ts :: acc) tbl []
   in
-  let run_rounds eng reqs rep ncomp =
+  let run_rounds ~eager eng reqs rep ncomp =
     for round = 1 to rounds do
       (match rep.(round mod max ncomp 1) with
+      | Some st when eager ->
+        let s = R.Stuple.Set.singleton st in
+        ignore (Engine.apply_delta eng (D.Delta.of_deletes s));
+        Engine.compact eng;
+        ignore (Engine.apply_delta eng (D.Delta.of_inserts s));
+        Engine.compact eng
       | Some st ->
         let s = R.Stuple.Set.singleton st in
         ignore (Engine.apply_delta eng (D.Delta.make ~deletes:s ~inserts:s ()))
@@ -706,34 +714,34 @@ let bench_deltafloor =
       | Error _ -> assert false
     done
   in
-  let setup ~compact_threshold (p : D.Problem.t) =
-    lazy
-      (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold p.D.Problem.db
-           p.D.Problem.queries
-       in
-       let part = Engine.partition eng in
-       let _, arena = Engine.index eng in
-       let reqs = requests_of part arena in
-       let ncomp = part.D.Arena.num_components in
-       let rep = Array.make (max ncomp 1) None in
-       Array.iteri
-         (fun sid c ->
-           if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
-       run_rounds eng reqs rep ncomp;
-       (eng, reqs, rep, ncomp))
-  in
-  let session prep () =
-    let eng, reqs, rep, ncomp = Lazy.force prep in
-    run_rounds eng reqs rep ncomp
+  let session ~eager (p : D.Problem.t) =
+    let prep =
+      lazy
+        (let eng =
+           Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
+         in
+         let part = Engine.partition eng in
+         let _, arena = Engine.index eng in
+         let reqs = requests_of part arena in
+         let ncomp = part.D.Arena.num_components in
+         let rep = Array.make (max ncomp 1) None in
+         Array.iteri
+           (fun sid c ->
+             if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
+           part.D.Arena.comp_of_sid;
+         run_rounds ~eager eng reqs rep ncomp;
+         (eng, reqs, rep, ncomp))
+    in
+    fun () ->
+      let eng, reqs, rep, ncomp = Lazy.force prep in
+      run_rounds ~eager eng reqs rep ncomp
   in
   let pair tag p =
     [
       Test.make ~name:(Printf.sprintf "session%d_eager_%s" rounds tag)
-        (Staged.stage (session (setup ~compact_threshold:0.0 p)));
+        (Staged.stage (session ~eager:true p));
       Test.make ~name:(Printf.sprintf "session%d_lazy_%s" rounds tag)
-        (Staged.stage (session (setup ~compact_threshold:0.5 p)));
+        (Staged.stage (session ~eager:false p));
     ]
   in
   (* roots and tuples grow together so the database doubles while each
@@ -757,12 +765,13 @@ let bench_deltafloor =
 (* compindex: what the first-class live component index buys per round.
    The session shape is the deltafloor group's (each round commits a
    delete + re-insert confined to one component, then solves the
-   standing single-component ΔV) on lazy compaction with the shard cache
-   on, so the index's clean bits confine re-solving to the touched
-   component. The enumeration step is also timed in isolation:
-   `active100_indexed` walks the live per-component rosters,
-   O(‖ΔV‖ + active), while `active100_sweep` rebuilds every proto-shard
-   from the partition arrays, O(‖D‖ + ‖V‖) per call. The scales double
+   standing single-component ΔV) with the shard cache on, so the
+   index's clean bits confine re-solving to the touched component. The
+   enumeration step is also timed in isolation: `active100_indexed`
+   walks the live per-component rosters, O(‖ΔV‖ + active), while
+   `active100_sweep` rebuilds every proto-shard from the partition
+   arrays, O(‖D‖ + ‖V‖) per call — the retired sweep, kept in
+   test/reference as the index's oracle. The scales double
    the database while the touched component stays constant-sized, so
    the indexed curves must stay ~flat while the sweep grows linearly —
    the O(active) enumeration claim of DESIGN.md §15.
@@ -795,8 +804,7 @@ let bench_compindex =
   let setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5
-           p.D.Problem.db p.D.Problem.queries
+         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
        let part = Engine.partition eng in
        let _, arena = Engine.index eng in
@@ -823,8 +831,7 @@ let bench_compindex =
   let enum_setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5
-           p.D.Problem.db p.D.Problem.queries
+         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
        let part = Engine.partition eng in
        let prov, arena = Engine.index eng in
@@ -852,7 +859,7 @@ let bench_compindex =
         (Staged.stage (fun () ->
              let part, _, arena' = Lazy.force enum in
              for _ = 1 to 100 do
-               ignore (D.Arena.active_components ~partition:part arena')
+               ignore (Reference.Arena_reference.active_components ~partition:part arena')
              done));
     ]
   in
@@ -1031,6 +1038,10 @@ let bench_e21 =
   in
   let pv = prov biblio in
   let sql_schema = R.Instance.schema biblio.D.Problem.db in
+  (* the parallel arm's pool: spawned once, on first use, and parked
+     between runs — the cost a session pays at [Engine.create] *)
+  let pool = lazy (D.Par.Pool.create ()) in
+  at_exit (fun () -> if Lazy.is_val pool then D.Par.Pool.shutdown (Lazy.force pool));
   Test.make_grouped ~name:"e21_pipeline"
     [
       Test.make ~name:"provenance_build" (Staged.stage (fun () -> D.Provenance.build biblio));
@@ -1040,8 +1051,7 @@ let bench_e21 =
              D.Portfolio.solutions ~exact_threshold:0 (D.Arena.build pv)));
       Test.make ~name:"portfolio_parallel"
         (Staged.stage (fun () ->
-             D.Portfolio.solutions ~exact_threshold:0
-               ~domains:(Domain.recommended_domain_count ())
+             D.Portfolio.solutions ~exact_threshold:0 ~pool:(Lazy.force pool)
                (D.Arena.build pv)));
       Test.make ~name:"sql_parse"
         (Staged.stage (fun () ->

@@ -366,10 +366,13 @@ let compact (a : t) =
    tuple (it is a delta answer), so enumerating [vtuples_containing] of
    each insert visits every gained answer. Any mismatch — a genuinely
    new tuple, an answer re-derived through a different witness, a row
-   referencing a still-dead slot — falls back to compact-and-merge. *)
-let try_resurrect (a : t) ~ins (prov' : Provenance.t) =
+   referencing a still-dead slot — falls back to compact-and-merge. With
+   no dead slot there is nothing to flip back, so that falls back at
+   once. *)
+let resurrect (a : t) ~ins (prov' : Provenance.t) =
   let exception Fallback in
   try
+    if not (tombstoned a) then raise Fallback;
     let dead_s = Bitset.copy a.dead_s and dead_v = Bitset.copy a.dead_v in
     R.Stuple.Set.iter
       (fun st ->
@@ -415,10 +418,10 @@ let try_resurrect (a : t) ~ins (prov' : Provenance.t) =
   with Fallback -> None
 
 let can_extend_in_place (a : t) ~ins (prov' : Provenance.t) =
-  Option.is_some (try_resurrect a ~ins prov')
+  Option.is_some (resurrect a ~ins prov')
 
 let extend (a : t) ~ins (prov : Provenance.t) =
-  match try_resurrect a ~ins prov with
+  match resurrect a ~ins prov with
   | Some r -> r
   | None ->
   (* merge path: ids move, so dead slots must be gathered out first —
@@ -770,31 +773,6 @@ type proto_shard = {
   p_vids : int array;
 }
 
-let active_components ?partition:part (a : t) =
-  let p = match part with Some p -> p | None -> partition a in
-  (* only components with a bad view tuple need solving *)
-  let active = Array.make p.num_components false in
-  Bitset.iter (fun vid -> active.(p.comp_of_vid.(vid)) <- true) a.bad;
-  let sids_of = Array.make p.num_components [] in
-  for sid = num_stuples a - 1 downto 0 do
-    let c = p.comp_of_sid.(sid) in
-    if c >= 0 && active.(c) then sids_of.(c) <- sid :: sids_of.(c)
-  done;
-  let vids_of = Array.make p.num_components [] in
-  for vid = num_vtuples a - 1 downto 0 do
-    let c = p.comp_of_vid.(vid) in
-    if c >= 0 && active.(c) then vids_of.(c) <- vid :: vids_of.(c)
-  done;
-  let protos = ref [] in
-  for c = p.num_components - 1 downto 0 do
-    if active.(c) then
-      protos :=
-        { p_component = c; p_sids = Array.of_list sids_of.(c);
-          p_vids = Array.of_list vids_of.(c) }
-        :: !protos
-  done;
-  Array.of_list !protos
-
 let materialize (a : t) (ps : proto_shard) =
   let global_sids = ps.p_sids and global_vids = ps.p_vids in
   let stuples =
@@ -815,9 +793,6 @@ let materialize (a : t) (ps : proto_shard) =
   assert (num_stuples arena = Array.length global_sids);
   assert (num_vtuples arena = Array.length global_vids);
   { arena; component = ps.p_component; global_sids; global_vids }
-
-let shatter ?partition:part (a : t) =
-  Array.map (materialize a) (active_components ?partition:part a)
 
 let preserved_degree t sid =
   let d = ref 0 in

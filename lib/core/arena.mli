@@ -61,11 +61,11 @@ val delete : t -> dd:R.Stuple.Set.t -> Provenance.t -> t
 
 (** [extend a ~ins prov] — the arena after committing the source
     insertion [ins], where [prov] is [a.prov] with every tuple of [ins]
-    {!Provenance.insert}ed. Two regimes: if every inserted tuple (and
-    every view answer it re-creates) bisects to a tombstoned slot whose
-    stored row and weight match [prov] exactly, the dead bits flip back
-    in place — the delete/re-insert fast path, no id movement.
-    Otherwise the arena is compacted and the two sorted runs merge
+    {!Provenance.insert}ed. Two regimes: if {!resurrect} succeeds —
+    every inserted tuple (and every view answer it re-creates) bisects
+    to a tombstoned slot whose stored row and weight match [prov]
+    exactly — the dead bits flip back in place: the delete/re-insert
+    fast path, no id movement. Otherwise the arena is compacted and the two sorted runs merge
     (existing ids keep their relative order, shifting only past the
     inserted tuples), surviving witness rows remap, gained view tuples
     intern their witness by bisection, and containing re-inverts — the
@@ -73,10 +73,18 @@ val delete : t -> dd:R.Stuple.Set.t -> Provenance.t -> t
     arena's {e live} database. *)
 val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
 
-(** [can_extend_in_place a ~ins prov] — would [extend] take the
-    resurrection fast path? Lets a caller that must keep derived state
-    (partitions, clean bits) aligned with the physical layout compact
-    {e before} a merge-path extend rather than after. *)
+(** [resurrect a ~ins prov] — [extend]'s fast path on its own: [Some]
+    of the extended arena when every inserted tuple (and every view
+    answer it re-creates) bisects to a tombstoned slot whose stored row
+    and weight match [prov] exactly, [None] otherwise (always on an
+    arena with no dead slot). A caller that
+    must keep derived state (partitions, clean bits) aligned with the
+    physical layout tries this first and, on [None], compacts {e
+    before} a merge-path [extend] rather than after. *)
+val resurrect : t -> ins:R.Stuple.Set.t -> Provenance.t -> t option
+
+(** [can_extend_in_place a ~ins prov] = [Option.is_some (resurrect a
+    ~ins prov)] — would [extend] take the resurrection fast path? *)
 val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
 
 (** [compact a] — gather the live slots, dropping every tombstone:
@@ -200,23 +208,10 @@ type proto_shard = {
   p_vids : int array;           (** member parent vids, ascending *)
 }
 
-(** [active_components ?partition a] — the components of [a] containing
-    at least one bad view tuple, ascending by component id; components
-    with nothing to solve are skipped. [partition] (default: computed
-    fresh) lets a session reuse its incrementally maintained one. An
-    arena with no bad tuples yields [[||]]. Cheap: two id sweeps, no
-    provenance restriction. *)
-val active_components : ?partition:partition -> t -> proto_shard array
-
-(** Compile one proto-shard into a standalone solvable {!shard}
-    (restrict + build — the expensive step [shatter] pays for every
-    active component, and a memoizing planner pays only for the dirty
-    ones). *)
+(** Compile one proto-shard ({!Component_index.active}) into a
+    standalone solvable {!shard} (restrict + build — the expensive step
+    a memoizing planner pays only for the dirty components). *)
 val materialize : t -> proto_shard -> shard
-
-(** [shatter ?partition a] = [active_components] + {!materialize} on
-    every proto-shard. *)
-val shatter : ?partition:partition -> t -> shard array
 
 (** [preserved_degree a sid] — number of preserved view tuples whose
     witness contains the tuple (the LowDeg degree). *)

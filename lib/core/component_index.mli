@@ -4,9 +4,10 @@
 
     {!Arena.partition} answers "which component does this slot belong
     to?" in O(1), but enumerating a component's {e members} — what every
-    planner round needs to build its proto-shards — meant sweeping the
-    full [comp_of_vid]/[comp_of_sid] arrays ({!Arena.active_components}),
-    the residual O(‖D‖ + ‖V‖) term in otherwise component-local rounds.
+    planner round needs to build its proto-shards — would mean sweeping
+    the full [comp_of_vid]/[comp_of_sid] arrays, the residual
+    O(‖D‖ + ‖V‖) term in otherwise component-local rounds (that sweep
+    survives only as this module's test oracle, in [test/reference]).
     This module owns both: the canonical partition {e and} ascending
     member rosters per component, patched by the same transitions the
     partition itself uses — deletes re-roster only the affected
@@ -87,8 +88,9 @@ val compact : t -> before:Arena.t -> t
 
 (** [active t a] — the proto-shards of the components holding a bad
     view tuple of [a], ascending by component, each roster ascending:
-    bit-identical to [Arena.active_components ~partition:(partition t) a]
-    but O(‖ΔV‖ + active·log active) instead of O(‖D‖ + ‖V‖). [a] must
+    bit-identical to the partition-array sweep over [partition t] (the
+    [test/reference] oracle) but O(‖ΔV‖ + active·log active) instead of
+    O(‖D‖ + ‖V‖). [a] must
     share the index's physical id space (the session arena or a
     [with_deletions] re-stamp of it). *)
 val active : t -> Arena.t -> Arena.proto_shard array

@@ -74,10 +74,10 @@ let arena (a : Arena.t) =
    ingredient is recoverable: tuples and weights read through the id
    lists, and a witness row's shard-local sids are the parent sids'
    ranks within [p_sids]. Tombstone-invariant by the same argument:
-   proto-shards enumerate live member ids only ([Arena.active_components]
-   skips dead slots) and a live vid's witness references live sids, so
-   the hash over a tombstoned parent equals the hash over its compacted
-   form — dead slots never feed a byte into the stream. *)
+   proto-shards enumerate live member ids only ([Component_index.active]
+   rosters hold no dead slot) and a live vid's witness references live
+   sids, so the hash over a tombstoned parent equals the hash over its
+   compacted form — dead slots never feed a byte into the stream. *)
 let shard ?bad (a : Arena.t) (ps : Arena.proto_shard) =
   (* [?bad] overrides the parent's ΔV bitset — the split-reuse path
      hashes a fragment under the memoized request, not the current one *)

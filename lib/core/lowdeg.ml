@@ -90,7 +90,7 @@ let best_of results =
         | _ -> Some r))
     None results
 
-let solve_arena ?(prune_wide = true) ?wide_threshold ?(domains = 1) ?pool ?budget
+let solve_arena ?(prune_wide = true) ?wide_threshold ?pool ?budget
     (a : Arena.t) =
   if Bitset.is_empty a.Arena.bad then trivial_result a.Arena.prov
   else begin
@@ -104,12 +104,12 @@ let solve_arena ?(prune_wide = true) ?wide_threshold ?(domains = 1) ?pool ?budge
     in
     (* each threshold is an independent restricted run over the shared
        (immutable) arena; [Par.map_result] keeps result order, so the
-       fold below is deterministic whatever the domain count or pool.
+       fold below is deterministic with or without a pool.
        The sweep is anytime: a threshold killed by the budget is dropped
        and the best of the finished ones is returned with
        [complete = false] — only a sweep with no survivor re-raises. *)
     let results =
-      Par.map_result ~domains ?pool
+      Par.map_result ?pool
         (fun tau -> solve_with_tau_arena ~prune_wide ?wide_threshold ?budget a ~tau)
         taus
     in
@@ -133,9 +133,9 @@ let solve_arena ?(prune_wide = true) ?wide_threshold ?(domains = 1) ?pool ?budge
         assert false
   end
 
-let solve ?prune_wide ?domains ?pool ?budget (prov : Provenance.t) =
+let solve ?prune_wide ?pool ?budget (prov : Provenance.t) =
   if Vtuple.Set.is_empty prov.Provenance.bad then trivial_result prov
-  else solve_arena ?prune_wide ?domains ?pool ?budget (Arena.build prov)
+  else solve_arena ?prune_wide ?pool ?budget (Arena.build prov)
 
 (* the τ-sweep funnels through the primal-dual kernel, so its answer
    decomposes the same way: per-candidate contribution parts *)

@@ -53,23 +53,22 @@ val default_wide_threshold : Arena.t -> float
 (** Algorithm 3: sweep τ over the distinct preserved-degrees, return the
     cheapest feasible solution. Total sweep is never infeasible (the
     largest τ bars nothing). The arena is built once and shared by all
-    thresholds; [domains] (default 1 = sequential) distributes the
-    independent per-τ runs over fresh OCaml 5 domains, while [pool]
-    (which wins when given) runs them on a persistent {!Par.Pool.t}
-    instead — results are identical whatever the strategy.
+    thresholds; [pool] distributes the independent per-τ runs over a
+    persistent {!Par.Pool.t}, and without one they run sequentially —
+    results are identical either way.
 
     The sweep is {e anytime} under [budget]: thresholds that outlive the
     deadline are dropped, the best finished one is returned with
     [complete = false]; {!Budget.Expired} escapes only when not a single
     threshold finished. *)
 val solve :
-  ?prune_wide:bool -> ?domains:int -> ?pool:Par.Pool.t -> ?budget:Budget.t ->
+  ?prune_wide:bool -> ?pool:Par.Pool.t -> ?budget:Budget.t ->
   Provenance.t -> result
 
 (** Algorithm 3 over a prebuilt arena — what a session solving many
     rounds against one compiled index calls. *)
 val solve_arena :
-  ?prune_wide:bool -> ?wide_threshold:float -> ?domains:int -> ?pool:Par.Pool.t ->
+  ?prune_wide:bool -> ?wide_threshold:float -> ?pool:Par.Pool.t ->
   ?budget:Budget.t -> Arena.t -> result
 
 (** Theorem 4's claimed ratio for the instance: [2·sqrt ‖V‖]. *)

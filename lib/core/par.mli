@@ -1,16 +1,16 @@
-(** Work-stealing domain parallelism for the embarrassingly-parallel
-    outer loops (the LowDeg τ-sweep, the portfolio fan-out).
+(** Domain parallelism for the embarrassingly-parallel outer loops (the
+    LowDeg τ-sweep, the portfolio fan-out, the planner's shard solves).
 
     Inputs must be safe to process concurrently — in this codebase every
     solver input (provenance, arena) is immutable, and each worker
     allocates its own mutable state.
 
-    Two execution strategies share one calling convention:
-    {!map} without a pool spawns fresh domains per call (fine for one-off
-    sweeps); a {!Pool.t} keeps its domains parked between calls, so a
-    long-lived session (the engine) pays the spawn cost once.
+    One execution strategy: a {!Pool.t} keeps its domains parked between
+    calls, so a long-lived session (the engine) pays the spawn cost
+    once. {!map} and {!map_result} take the pool as [?pool] and run
+    sequentially, on the calling domain, when none is given.
 
-    Each strategy comes in two dialects: [map] re-raises the first
+    Each entry point comes in two dialects: [map] re-raises the first
     exception once every item has run, while [map_result] captures each
     item's outcome as a [result] — the failure-isolation dialect the
     portfolio uses so one crashing solver cannot abort its siblings. *)
@@ -53,22 +53,15 @@ module Pool : sig
   val shutdown : t -> unit
 end
 
-(** [map ~domains f xs] — [List.map f xs], the applications distributed
-    over [domains] domains (the calling domain included). Result order
-    matches input order regardless of scheduling, so deterministic [f]
-    gives deterministic results. [domains] defaults to
-    [Domain.recommended_domain_count ()], is clamped above by
-    [length xs], and [domains = 1] degrades to a plain sequential map
-    with no domain spawned; [domains < 1] raises [Invalid_argument].
-    The first exception raised by [f] is re-raised after all workers
-    finish.
+(** [map ?pool f xs] — [List.map f xs], the applications distributed
+    over [pool]'s workers (the calling domain included) when a pool is
+    given, and run sequentially on the calling domain otherwise. Result
+    order matches input order regardless of scheduling, so deterministic
+    [f] gives deterministic results. The first exception raised by [f]
+    is re-raised after every item has run. *)
+val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 
-    When [pool] is given it wins over [domains]: the job runs on the
-    pool's parked workers with no domain spawned. *)
-val map : ?domains:int -> ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** The failure-isolating dialect of {!map}: same strategies and
-    ordering, but each item's outcome is captured as a [result] instead
-    of the first exception aborting the batch. *)
-val map_result :
-  ?domains:int -> ?pool:Pool.t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
+(** The failure-isolating dialect of {!map}: same ordering, but each
+    item's outcome is captured as a [result] instead of the first
+    exception aborting the batch. Never raises itself. *)
+val map_result : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> ('b, exn) result list

@@ -334,15 +334,14 @@ let factor_of ~l ~forest (cert : Solution.certificate) =
   | Solution.Dual_bound _ -> if forest then Some l else None
   | Solution.Heuristic | Solution.Anytime | Solution.Composite _ -> None
 
-let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
+let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
     ?(decompose = true) ?index ?cache (a : Arena.t) =
   let whole () =
     (* the whole-instance portfolio iterates the physical arrays, so a
        tombstoned arena compacts first (the identity otherwise) *)
     let a = Arena.compact a in
     let r =
-      Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool
-        ?budget_ms a
+      Portfolio.solutions_report ~exact_threshold ?only ?pool ?budget_ms a
     in
     { solutions = r.Portfolio.solutions; failures = r.Portfolio.failures;
       degraded = r.Portfolio.degraded; decomposed = false; shards = [];
@@ -351,13 +350,12 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
   if not decompose then whole ()
   else
     (* [index] enumerates active components in O(‖ΔV‖ + active) off the
-       live rosters; the sweep path walks the full comp arrays. Both
-       produce bit-identical proto-shards (lockstep-tested). *)
-    let protos =
-      match index with
-      | Some ix -> Component_index.active ix a
-      | None -> Arena.active_components a
+       live rosters. Without one, a fresh index is built here: it is all
+       dirty, so every shard re-solves and a cache only stores. *)
+    let index =
+      match index with Some ix -> ix | None -> Component_index.build a
     in
+    let protos = Component_index.active index a in
     let n = Array.length protos in
     (* n = 1 routes through the shard pipeline like any other round: the
        single active component still fingerprints into the shard cache
@@ -370,10 +368,6 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
       (match cache with
       | Some c -> evict_stale_buckets c ~wide_global
       | None -> ());
-      (* without an index nothing tracks deltas: every component dirty *)
-      let is_dirty c =
-        match index with Some ix -> not (Component_index.clean ix c) | None -> true
-      in
       let bad_of (ps : Arena.proto_shard) =
         Array.fold_left
           (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
@@ -389,7 +383,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
         match cache with
         | None -> None
         | Some c ->
-          if is_dirty ps.Arena.p_component then None
+          if not (Component_index.clean index ps.Arena.p_component) then None
           else begin
             let fp = Fingerprint.shard a ps in
             match Setcover.Lru.find c.lru fp with
@@ -447,11 +441,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
         in
         (sh, cls, r)
       in
-      let fresh_results =
-        match (domains, pool) with
-        | None, None -> List.map (fun ps -> Ok (task ps)) to_solve
-        | _ -> Par.map_result ?domains ?pool task to_solve
-      in
+      let fresh_results = Par.map_result ?pool task to_solve in
       (* re-assemble in shard order: each missing slot takes the next
          fresh result; solved shards feed the cache as they land *)
       let fresh = ref fresh_results in

@@ -1,6 +1,7 @@
 (** Shatter-and-plan: decompose an instance into independent components
-    ({!Arena.shatter}), classify each shard, solve shards with the
-    cheapest adequate strategy, and recombine.
+    ({!Component_index.active} + {!Arena.materialize}), classify each
+    shard, solve shards with the cheapest adequate strategy, and
+    recombine.
 
     Component independence (a witness lies entirely inside one
     component) makes the recombination exact: the union of per-shard
@@ -209,8 +210,9 @@ val cache_restore :
 (** Solve via shatter-and-plan. Every round with ≥ 1 active component
     routes through the shard pipeline — including the single-component
     case, which gets the whole [budget_ms] and still consults the shard
-    cache; with ≥ 2 the shards fan out on [pool] / [domains]
-    ({!Par.map_result}; each shard's inner portfolio stays sequential)
+    cache; with ≥ 2 the shards fan out on [pool] ({!Par.map_result},
+    sequential without one; each shard's inner portfolio stays
+    sequential)
     and [budget_ms] splits evenly across shards. With no active
     component (or [decompose:false]) this is exactly
     [Portfolio.solutions_report ... a], compacting a tombstoned arena
@@ -222,13 +224,14 @@ val cache_restore :
     falls back to the whole-instance portfolio rather than return an
     infeasible union.
 
-    [index] replaces the active-component sweep
-    ({!Arena.active_components}, a fresh O(‖D‖ + ‖V‖) pass) with the
-    engine's live {!Component_index} — O(‖ΔV‖ + active) enumeration off
-    maintained rosters, bit-identical proto-shards — and supplies the
-    clean bits ({!Component_index.clean}) that say which components no
-    delta has touched since their answer was cached. Without an index
-    every component counts as dirty.
+    [index] is the component index that enumerates the active
+    components ({!Component_index.active}: O(‖ΔV‖ + active) off
+    maintained rosters) and supplies the clean bits
+    ({!Component_index.clean}) that say which components no delta has
+    touched since their answer was cached — the engine passes its live
+    one. Without [index] the planner builds a fresh one
+    ({!Component_index.build}, one O(‖D‖ + ‖V‖) pass), which is all
+    dirty: every shard re-solves.
 
     [cache] enables shard memoization. A shard is spliced iff it is
     clean, its fingerprint is present, and the entry passes the reuse
@@ -241,7 +244,6 @@ val cache_restore :
 val solve :
   ?exact_threshold:int ->
   ?only:string list ->
-  ?domains:int ->
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
   ?decompose:bool ->

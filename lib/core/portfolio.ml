@@ -49,7 +49,7 @@ let degraded_solution (a : Arena.t) =
   in
   if Solution.feasible sol then Some sol else None
 
-let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
+let solutions_report ?exact_threshold ?only ?extra ?pool ?budget_ms
     (a : Arena.t) =
   let budget = Option.map Budget.of_ms budget_ms in
   let solvers = solvers_for ?exact_threshold a in
@@ -61,21 +61,18 @@ let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
   in
   let solvers = solvers @ Option.value extra ~default:[] in
   let attempts =
-    match (domains, pool) with
-    | None, None -> List.map (fun s -> Solver.run ?budget s a) solvers
-    | _ ->
-      (* [Solver.run] swallows its own exceptions; [map_result] is the
-         belt under those braces — a worker dying outside the wrapper
-         still surfaces as a classified failure, never as a dead pool *)
-      Par.map_result ?domains ?pool (fun s -> Solver.run ?budget s a) solvers
-      |> List.map2
-           (fun (module S : Solver.S) -> function
-             | Ok att -> att
-             | Error e ->
-               Solver.Failed
-                 { algorithm = S.name; elapsed_ms = 0.0;
-                   reason = Crashed (Printexc.to_string e) })
-           solvers
+    (* [Solver.run] swallows its own exceptions; [map_result] is the
+       belt under those braces — a worker dying outside the wrapper
+       still surfaces as a classified failure, never as a dead pool *)
+    Par.map_result ?pool (fun s -> Solver.run ?budget s a) solvers
+    |> List.map2
+         (fun (module S : Solver.S) -> function
+           | Ok att -> att
+           | Error e ->
+             Solver.Failed
+               { algorithm = S.name; elapsed_ms = 0.0;
+                 reason = Crashed (Printexc.to_string e) })
+         solvers
   in
   let failures =
     List.filter_map (function Solver.Failed f -> Some f | _ -> None) attempts
@@ -95,5 +92,5 @@ let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
       { solutions = [ s ]; failures; degraded = true }
     | None -> { solutions = []; failures; degraded = false })
 
-let solutions ?exact_threshold ?only ?domains ?pool ?budget_ms (a : Arena.t) =
-  (solutions_report ?exact_threshold ?only ?domains ?pool ?budget_ms a).solutions
+let solutions ?exact_threshold ?only ?pool ?budget_ms (a : Arena.t) =
+  (solutions_report ?exact_threshold ?only ?pool ?budget_ms a).solutions

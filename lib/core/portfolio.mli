@@ -39,9 +39,9 @@ val pp_failure : Format.formatter -> failure -> unit
     {!Solution.t}s (feasible only, cheapest first, each carrying its
     guarantee certificate). [only] keeps just the named algorithms
     (["brute"], ["primal-dual"], ["lowdeg"], ["dp-tree"], ["general"],
-    ["greedy"]); with neither [domains] nor [pool] the fan-out is
-    sequential, [pool] runs it on a persistent {!Par.Pool.t} (the
-    engine's mode), [domains] spawns per call.
+    ["greedy"]); [pool] runs the fan-out on a persistent
+    {!Par.Pool.t} (the engine's mode), and without one it is
+    sequential.
 
     [budget_ms] arms one shared deadline for the round: solvers tick it
     cooperatively and unwind with {!Budget.Expired} on expiry (recorded
@@ -61,7 +61,6 @@ val solutions_report :
   ?exact_threshold:int ->
   ?only:string list ->
   ?extra:(module Solver.S) list ->
-  ?domains:int ->
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
   Arena.t ->
@@ -73,7 +72,6 @@ val solutions_report :
 val solutions :
   ?exact_threshold:int ->
   ?only:string list ->
-  ?domains:int ->
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
   Arena.t ->

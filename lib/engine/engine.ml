@@ -214,11 +214,6 @@ type t = {
   algorithms : string list option;
   plan_solver : bool;
   budget_ms : float option;
-  compact_threshold : float;
-      (* tombstone-ratio trigger for amortized compaction; ≤ 0 forces
-         the eager regime (every delete tombstones, then compacts at
-         once, bit-identical by [Arena.compact]'s differential
-         property) *)
   base_db : R.Instance.t;
   journal_path : string option;
   snapshot_path : string option;
@@ -245,7 +240,8 @@ type t = {
          torn tail can only lose freshness this session produced *)
 }
 
-let lazy_tombstones t = t.compact_threshold > 0.0
+(* the dead-slot ratio above which a commit compacts the live index *)
+let max_tombstone_ratio = 0.5
 
 (* the baseline index always has ΔV = ∅: requests re-target it per round
    via [with_deletions] without disturbing the live copy. Built exactly
@@ -263,7 +259,8 @@ let index_of t =
 let compact_pair arena cindex =
   (D.Arena.compact arena, D.Component_index.compact cindex ~before:arena)
 
-(* amortized compaction, counted in [compactions] *)
+(* a compaction counted in [compactions]: the ratio trigger, [checkpoint],
+   [compact] and the start of a flat [request] *)
 let compact_index t =
   let ix = t.index in
   if D.Arena.tombstoned ix.arena then begin
@@ -282,15 +279,11 @@ let compact_index t =
    commits only after both patches succeed, so a [Key_violation] or
    [Ambiguous_witness] raised mid-insert leaves it untouched.
 
-   Every delete tombstones first. Two regimes ([compact_threshold]):
-   - eager (≤ 0): the delete then compacts at once and every insert
-     merges — bit-identical to a gather, via [Arena.compact]'s
-     differential property. This compaction is not counted in
-     [compactions]: it is the round's own cost, not amortized work.
-   - lazy (> 0): deletes tombstone in place (O(touched) instead of
-     O(‖D‖ + ‖V‖)), inserts resurrect dead slots when they can, and the
-     index compacts only when the tombstone ratio crosses the threshold
-     (or a merge-path insert / checkpoint forces it). *)
+   Deletes tombstone in place (O(touched) instead of O(‖D‖ + ‖V‖)),
+   inserts resurrect dead slots when they can, and the index compacts
+   only when the tombstone ratio crosses [max_tombstone_ratio] (or a
+   merge-path insert forces it; [checkpoint], [compact] and flat
+   [request]s compact too). *)
 let apply_delta_raw t (delta : D.Delta.t) =
   let db = D.Matview.db t.mv in
   let dd =
@@ -320,10 +313,7 @@ let apply_delta_raw t (delta : D.Delta.t) =
           D.Planner.seed_fragments c ~before:ix.arena ~before_index:ix.cindex
             ~dd ~after:arena' ~after_index:cindex')
         t.shard_cache;
-      if lazy_tombstones t then (prov', arena', cindex')
-      else
-        let arena', cindex' = compact_pair arena' cindex' in
-        (prov', arena', cindex')
+      (prov', arena', cindex')
     end
   in
   let prov, arena, cindex =
@@ -332,17 +322,17 @@ let apply_delta_raw t (delta : D.Delta.t) =
       let prov' =
         R.Stuple.Set.fold (fun st p -> D.Provenance.insert p st) ins prov
       in
-      (* a merge-path extend of a tombstoned arena would compact inside
-         [Arena.extend], desynchronizing the rosters from the physical
-         layout — compact both sides first instead *)
-      let arena, cindex =
-        if
-          D.Arena.tombstoned arena
-          && not (D.Arena.can_extend_in_place arena ~ins prov')
-        then compact_pair arena cindex
-        else (arena, cindex)
+      (* one resurrection attempt; when it fails, a merge-path extend of
+         a tombstoned arena would compact inside [Arena.extend],
+         desynchronizing the rosters from the physical layout — compact
+         both sides first instead (the identity on a compact pair) *)
+      let arena, cindex, arena' =
+        match D.Arena.resurrect arena ~ins prov' with
+        | Some arena' -> (arena, cindex, arena')
+        | None ->
+          let arena, cindex = compact_pair arena cindex in
+          (arena, cindex, D.Arena.extend arena ~ins prov')
       in
-      let arena' = D.Arena.extend arena ~ins prov' in
       (prov', arena', D.Component_index.insert cindex ~before:arena arena')
     end
   in
@@ -361,10 +351,8 @@ let apply_delta_raw t (delta : D.Delta.t) =
     };
   (* amortized trigger, off the per-round critical path until the dead
      fraction actually matters *)
-  if
-    lazy_tombstones t
-    && D.Arena.tombstone_ratio t.index.arena > t.compact_threshold
-  then compact_index t;
+  if D.Arena.tombstone_ratio t.index.arena > max_tombstone_ratio then
+    compact_index t;
   { D.Delta.deletes = dd; inserts = ins }
 
 (* returns the subset actually deleted (tuples already gone are skipped) *)
@@ -560,7 +548,7 @@ let checkpoint t =
         m "journal %s: checkpointed to %d record(s)" path (List.length records))
 
 let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
-    ?budget_ms ?compact_threshold ?journal ?(recover = false)
+    ?budget_ms ?journal ?(recover = false)
     ?(shard_cache = 512) ?snapshot ?(snapshot_every = 16) ?(fsync = false)
     ?segment_bytes db queries =
   (match (snapshot, journal) with
@@ -572,14 +560,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
   let prov = D.Provenance.build problem in
   let arena = D.Arena.build prov in
   let cindex = D.Component_index.build arena in
-  (* plan sessions default to lazy tombstones: the shard pipeline skips
-     dead slots natively, so deltas stay sublinear. Flat sessions default
-     to eager — the whole-instance portfolio wants a compact arena every
-     round anyway, so tombstoning would only move the same work after the
-     commit. Both are overridable. *)
-  let compact_threshold =
-    match compact_threshold with Some x -> x | None -> if plan then 0.5 else 0.0
-  in
   let t =
     {
       queries;
@@ -588,7 +568,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       algorithms;
       plan_solver = plan;
       budget_ms;
-      compact_threshold;
       base_db = db;
       journal_path = journal;
       snapshot_path = snapshot;
@@ -834,6 +813,11 @@ let request ?budget_ms t requests =
   | Error _ as e -> e
   | Ok () ->
     let t0 = Unix.gettimeofday () in
+    (* the whole-instance portfolio walks the physical arrays: a flat
+       session gathers its tombstones here, once, so the rounds that
+       follow over the same state find the live index already compact *)
+    if not t.plan_solver then compact_index t;
+    let ix = t.index in
     let prov' = D.Provenance.with_deletions ix.prov requests in
     let arena' = D.Arena.with_deletions ix.arena prov' in
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in

@@ -21,11 +21,10 @@
       ([Arena.partition_delete] splits, [Arena.partition_insert]
       merges). Every patch is counted in {!stats} ([patches] /
       [inserts_patched]); [rebuilds] stays 1 for the whole session.
-      Under the lazy tombstone regime (see {!create}'s
-      [compact_threshold]) dead slots accumulate across rounds and the
-      engine compacts ({!Deleprop.Arena.compact}) only when the
-      tombstone ratio crosses the threshold — amortized O(1) slot
-      movement per round instead of O(‖index‖) per delete.
+      Dead slots accumulate across rounds and the engine compacts
+      ({!Deleprop.Arena.compact}) only on the four events {!compact}
+      lists — amortized O(1) slot movement per round instead of
+      O(‖index‖) per delete.
 
     The session is {e resilient}: rounds run under an optional time
     budget with graceful degradation (see {!Deleprop.Portfolio}), solver
@@ -117,13 +116,19 @@ type stats = {
                               sum to [fragment_reuses] *)
   tombstone_ratio : float;(** dead slots / total slots in the live arena,
                               read at {!stats} time — 0.0 right after a
-                              compaction (and always, under the eager
-                              regime) *)
-  compactions : int;      (** explicit index compactions: threshold
-                              triggers, {!checkpoint}s and {!compact}
-                              calls (eager-regime compaction is not
-                              counted — it is part of the delete
-                              itself) *)
+                              compaction. In a flat session
+                              ([~plan:false]) it can be non-zero between
+                              a commit and the next {!request}, which
+                              gathers the tombstones away *)
+  compactions : int;      (** compactions of the live index that moved
+                              slots: ratio triggers, {!checkpoint}s,
+                              {!compact} calls, and — in a flat session —
+                              the gather at the start of a {!request}
+                              that finds the index tombstoned (at most
+                              one per commit: repeated rounds over the
+                              same state find it compact). The
+                              compact-before-merge of an insert that
+                              cannot resurrect is not counted *)
   snapshot : snapshot_status;
                           (** how recovery left the shard cache: warm
                               from a durable snapshot, cold, or degraded
@@ -213,22 +218,15 @@ type plan = {
     [budget_ms] arms every round with a wall-clock deadline (overridable
     per {!request}).
 
-    [compact_threshold] picks the tombstone regime. Every committed
-    delete tombstones slots in place ({!Deleprop.Arena.delete}) first.
-    [<= 0.0]: {e eager} — the delete then compacts the index at once, so
-    the session never holds a tombstone (this compaction is part of the
-    delete, not counted in [compactions]). [> 0.0]: {e lazy} — inserts
-    resurrect dead slots when they can
-    ({!Deleprop.Arena.can_extend_in_place}), and the engine compacts
-    only when {!Deleprop.Arena.tombstone_ratio} exceeds the threshold —
-    per-round commit cost proportional to the delta, not the index. The
-    two regimes are observationally identical (solutions, views,
-    fingerprints, recovery — [test/test_tombstone.ml] is the
-    differential proof); only wall-clock and the [tombstone_ratio] /
-    [compactions] stats differ. Default: [0.5] with [~plan:true]
-    (the planner's shard pipeline skips dead slots natively), [0.0]
-    without (the flat portfolio would pay a compaction per round
-    anyway).
+    Every committed delete tombstones slots in place
+    ({!Deleprop.Arena.delete}), and inserts resurrect dead slots when
+    they can ({!Deleprop.Arena.resurrect}) — per-round commit cost
+    proportional to the delta, not the index. The engine compacts on
+    the four events {!compact} lists. Compaction is observationally
+    invisible (solutions, views, fingerprints, recovery —
+    [test/test_tombstone.ml] pins tombstoned sessions to twins that
+    compact after every commit); only wall-clock and the
+    [tombstone_ratio] / [compactions] stats see it.
 
     [journal] makes committed operations durable in an append-only log
     at that path. With [recover] (default [false]) an existing journal
@@ -292,7 +290,6 @@ val create :
   ?plan:bool ->
   ?domains:int ->
   ?budget_ms:float ->
-  ?compact_threshold:float ->
   ?journal:string ->
   ?recover:bool ->
   ?shard_cache:int ->
@@ -350,10 +347,12 @@ val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
     and re-gather the partition ({!Deleprop.Arena.compact} /
     {!Deleprop.Arena.compact_partition} — labels and clean bits
     survive). No-op when the index has no tombstones. Counted in
-    [stats.compactions]. The engine calls this itself when the
-    tombstone ratio crosses [compact_threshold] and before every
-    {!checkpoint}; exposing it lets an embedding application compact at
-    its own quiet points. *)
+    [stats.compactions]. The engine compacts on exactly four events:
+    a commit that leaves more than half of the arena's slots dead,
+    every {!checkpoint}, this call, and the start of a flat
+    ([~plan:false]) {!request} whose live index is tombstoned (the
+    whole-instance portfolio walks the physical arrays). Exposing it
+    lets an embedding application compact at its own quiet points. *)
 val compact : t -> unit
 
 (** Compact the journal: atomically rewrite it as the minimal diff
@@ -378,9 +377,9 @@ val matview : t -> Deleprop.Matview.t
 
 (** The session's live baseline index (ΔV = ∅) — built once in
     {!create}, patched by every commit since; what the differential
-    tests compare against scratch construction. Under the lazy regime
-    the returned arena may carry tombstones; [Arena.compact] of it is
-    bit-identical to a scratch build. *)
+    tests compare against scratch construction. The returned arena may
+    carry tombstones; [Arena.compact] of it is bit-identical to a
+    scratch build. *)
 val index : t -> Deleprop.Provenance.t * Deleprop.Arena.t
 
 (** The live index's component partition, maintained incrementally

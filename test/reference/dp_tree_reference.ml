@@ -5,7 +5,7 @@
 open Deleprop
 
 module R = Relational
-module Tg = Hypergraph.Tuple_graph
+module Tg = Tuple_graph
 
 let src = Logs.Src.create "deleprop.dp_tree" ~doc:"DPTreeVSE (Algorithm 4)"
 

@@ -188,7 +188,10 @@ let prop_lowdeg_domains =
   (* the parallel sweep partitions the same τ list: identical result *)
   qcheck ~count:10 "lowdeg: domains=2 = sequential" seeds (fun seed ->
       let prov = forest_prov seed in
-      lowdeg_equal (D.Lowdeg.solve ~domains:2 prov) (D.Lowdeg.solve ~domains:1 prov))
+      let pool = D.Par.Pool.create ~domains:2 () in
+      Fun.protect
+        ~finally:(fun () -> D.Par.Pool.shutdown pool)
+        (fun () -> lowdeg_equal (D.Lowdeg.solve ~pool prov) (D.Lowdeg.solve prov)))
 
 let rb_solution_equal a b =
   match a, b with

@@ -43,7 +43,7 @@ let check_index_matches tag cindex (arena : D.Arena.t) =
 let check_active_equal tag cindex (arena' : D.Arena.t) =
   let fast = D.Component_index.active cindex arena' in
   let sweep =
-    D.Arena.active_components
+    Reference.Arena_reference.active_components
       ~partition:(D.Component_index.partition cindex)
       arena'
   in
@@ -321,8 +321,10 @@ let clean_sets eng =
 (* Odd seeds run on the two-chain split instance, where deletes shatter
    memoized components and seeding fires often; even seeds on a random
    forest instance. Every third seed closes the brute tier, so forest
-   and approximate entries seed too. *)
-let check_clean_bits ~compact_threshold seed =
+   and approximate entries seed too. [every_commit] compacts after each
+   commit; otherwise compactions fire at seeded random steps, so the
+   bits also carry across tombstoned stretches. *)
+let check_clean_bits ~every_commit seed =
   let rng = rng seed in
   let db, queries =
     if seed mod 2 = 1 then (split_db (), split_queries ())
@@ -341,9 +343,11 @@ let check_clean_bits ~compact_threshold seed =
   in
   let exact_threshold = if seed mod 3 = 0 then Some 0 else None in
   let eng =
-    Engine.create ~plan:true ~domains:1 ?exact_threshold ~compact_threshold db
-      queries
+    Engine.create ~plan:true ~domains:1 ?exact_threshold db queries
   in
+  (* the compaction schedule draws from its own generator, so both
+     variants run the same op stream per seed *)
+  let compact_rng = Util.rng (seed + 5) in
   let mem s sets = List.exists (R.Stuple.Set.equal s) sets in
   (* [seeding]: the commit deleted, so fragments may have been seeded *)
   let check tag ~seeding ~before ~clean_before ~answered =
@@ -386,7 +390,11 @@ let check_clean_bits ~compact_threshold seed =
       !plan
   in
   for step = 1 to 14 do
-    let tag = Printf.sprintf "clean ct %.1f seed %d step %d" compact_threshold seed step in
+    let tag =
+      Printf.sprintf "clean %s seed %d step %d"
+        (if every_commit then "every-commit" else "random")
+        seed step
+    in
     (* propose twice per step: the repeat round reads the bits the
        first one marked *)
     ignore (propose tag);
@@ -417,6 +425,10 @@ let check_clean_bits ~compact_threshold seed =
             Engine.delete eng (R.Stuple.Set.singleton st);
             deleted_pool := st :: !deleted_pool;
             [])));
+    if every_commit || Random.State.int compact_rng 3 = 0 then
+      step_with (tag ^ " commit compact") ~seeding:false (fun () ->
+          Engine.compact eng;
+          []);
     if step mod 5 = 0 then
       step_with (tag ^ " compact") ~seeding:false (fun () ->
           Engine.compact eng;
@@ -426,12 +438,12 @@ let check_clean_bits ~compact_threshold seed =
   true
 
 let prop_clean_bits_eager =
-  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (eager)" seeds
-    (check_clean_bits ~compact_threshold:0.0)
+  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (compact every commit)"
+    seeds (check_clean_bits ~every_commit:true)
 
 let prop_clean_bits_lazy =
-  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (lazy 0.3)" seeds
-    (check_clean_bits ~compact_threshold:0.3)
+  qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (random compactions)"
+    seeds (check_clean_bits ~every_commit:false)
 
 let suite =
   [

@@ -248,7 +248,7 @@ let prop_partition_stream_random =
 let check_shatter prov =
   let a = D.Arena.build prov in
   let part = D.Arena.partition a in
-  let shards = D.Arena.shatter ~partition:part a in
+  let shards = Reference.Arena_reference.shatter ~partition:part a in
   let bad_total = ref 0 in
   Array.iter
     (fun (sh : D.Arena.shard) ->
@@ -315,7 +315,7 @@ let check_exact_recombination seed =
   match D.Brute.solve prov with
   | None -> true
   | Some whole ->
-    let shards = D.Arena.shatter a in
+    let shards = Reference.Arena_reference.shatter a in
     let union = ref R.Stuple.Set.empty in
     let solved_all =
       Array.for_all
@@ -369,7 +369,7 @@ let prop_planner_pivot =
 let check_planner_exact seed =
   let prov = pivot_prov ~num_roots:3 ~tuples_per_relation:2 seed in
   let a = D.Arena.build prov in
-  let shards = D.Arena.shatter a in
+  let shards = Reference.Arena_reference.shatter a in
   if Array.length shards < 2 then true
   else begin
     let r = D.Planner.solve a in
@@ -428,7 +428,7 @@ let check_recognizer family seed =
   agrees prov;
   Array.iter
     (fun (sh : D.Arena.shard) -> agrees sh.D.Arena.arena.D.Arena.prov)
-    (D.Arena.shatter (D.Arena.build prov));
+    (Reference.Arena_reference.shatter (D.Arena.build prov));
   true
 
 let prop_recognizer_forest =
@@ -518,7 +518,7 @@ let check_ladder family ~exact_threshold seed =
   let a = D.Arena.build prov in
   let cache = D.Planner.create_cache () in
   let r = D.Planner.solve ~exact_threshold ~cache a in
-  let shards = D.Arena.shatter a in
+  let shards = Reference.Arena_reference.shatter a in
   let entries = D.Planner.cache_entries cache in
   let wide_global = D.Lowdeg.default_wide_threshold a in
   Alcotest.(check int) "one decision per shard" (Array.length shards)
@@ -590,7 +590,7 @@ let find_shard family pred =
       match
         Array.find_opt
           (fun (sh : D.Arena.shard) -> pred sh.D.Arena.arena)
-          (D.Arena.shatter (D.Arena.build (family seed)))
+          (Reference.Arena_reference.shatter (D.Arena.build (family seed)))
       with
       | Some sh -> sh.D.Arena.arena
       | None -> go (seed + 1)

@@ -72,7 +72,7 @@ let check_family family objective seed =
   agrees ~objective a
   && Array.for_all
        (fun (sh : D.Arena.shard) -> agrees ~objective sh.D.Arena.arena)
-       (D.Arena.shatter a)
+       (Reference.Arena_reference.shatter a)
 
 let equivalence_props =
   List.concat_map

@@ -131,37 +131,37 @@ let t name k = st name [ k ]
 
 let test_tuple_graph_forest () =
   let g =
-    H.Tuple_graph.of_witness_paths
+    Reference.Tuple_graph.of_witness_paths
       [ [ t "A" "1"; t "B" "1" ]; [ t "A" "1"; t "B" "2" ]; [ t "B" "1"; t "C" "1" ] ]
   in
-  Alcotest.(check bool) "forest" true (H.Tuple_graph.is_forest g);
-  Alcotest.(check int) "vertices" 4 (H.Tuple_graph.num_vertices g);
-  Alcotest.(check int) "edges" 3 (H.Tuple_graph.num_edges g)
+  Alcotest.(check bool) "forest" true (Reference.Tuple_graph.is_forest g);
+  Alcotest.(check int) "vertices" 4 (Reference.Tuple_graph.num_vertices g);
+  Alcotest.(check int) "edges" 3 (Reference.Tuple_graph.num_edges g)
 
 let test_tuple_graph_cycle () =
   let g =
-    H.Tuple_graph.of_witness_paths
+    Reference.Tuple_graph.of_witness_paths
       [ [ t "A" "1"; t "B" "1" ]; [ t "B" "1"; t "C" "1" ]; [ t "C" "1"; t "A" "1" ] ]
   in
-  Alcotest.(check bool) "cycle" false (H.Tuple_graph.is_forest g)
+  Alcotest.(check bool) "cycle" false (Reference.Tuple_graph.is_forest g)
 
 let test_rooted_depth_paths () =
   let g =
-    H.Tuple_graph.of_witness_paths
+    Reference.Tuple_graph.of_witness_paths
       [ [ t "A" "1"; t "B" "1"; t "C" "1" ]; [ t "B" "1"; t "D" "1" ] ]
   in
-  match H.Tuple_graph.Rooted.at g (t "A" "1") with
+  match Reference.Tuple_graph.Rooted.at g (t "A" "1") with
   | None -> Alcotest.fail "expected rooted tree"
   | Some r ->
-    Alcotest.(check int) "depth C" 2 (H.Tuple_graph.Rooted.depth r (t "C" "1"));
-    Alcotest.(check int) "depth D" 2 (H.Tuple_graph.Rooted.depth r (t "D" "1"));
+    Alcotest.(check int) "depth C" 2 (Reference.Tuple_graph.Rooted.depth r (t "C" "1"));
+    Alcotest.(check int) "depth D" 2 (Reference.Tuple_graph.Rooted.depth r (t "D" "1"));
     Alcotest.check stuple_set "path to D"
       (R.Stuple.Set.of_list [ t "A" "1"; t "B" "1"; t "D" "1" ])
-      (H.Tuple_graph.Rooted.path_set r (t "D" "1"))
+      (Reference.Tuple_graph.Rooted.path_set r (t "D" "1"))
 
 let test_find_pivot_positive () =
   let g =
-    H.Tuple_graph.of_witness_paths
+    Reference.Tuple_graph.of_witness_paths
       [ [ t "A" "1"; t "B" "1"; t "C" "1" ]; [ t "A" "1"; t "B" "2" ] ]
   in
   let witnesses =
@@ -171,13 +171,13 @@ let test_find_pivot_positive () =
     ]
   in
   Alcotest.(check (option stuple)) "pivot is the root" (Some (t "A" "1"))
-    (H.Tuple_graph.find_pivot g witnesses)
+    (Reference.Tuple_graph.find_pivot g witnesses)
 
 let test_find_pivot_negative () =
   (* two witnesses overlapping in the middle: no common tuple from which
      both are root paths *)
   let g =
-    H.Tuple_graph.of_witness_paths
+    Reference.Tuple_graph.of_witness_paths
       [ [ t "A" "1"; t "B" "1" ]; [ t "B" "1"; t "C" "1" ] ]
   in
   let witnesses =
@@ -188,10 +188,10 @@ let test_find_pivot_negative () =
   in
   (* B1 is common to both and both are paths from B1 — so this IS a pivot *)
   Alcotest.(check (option stuple)) "pivot in the middle" (Some (t "B" "1"))
-    (H.Tuple_graph.find_pivot g witnesses);
+    (Reference.Tuple_graph.find_pivot g witnesses);
   (* but witnesses that skip the common tuple admit none *)
   let g2 =
-    H.Tuple_graph.of_witness_paths [ [ t "A" "1"; t "B" "1" ]; [ t "C" "1"; t "D" "1" ] ]
+    Reference.Tuple_graph.of_witness_paths [ [ t "A" "1"; t "B" "1" ]; [ t "C" "1"; t "D" "1" ] ]
   in
   let w2 =
     [
@@ -200,13 +200,13 @@ let test_find_pivot_negative () =
     ]
   in
   Alcotest.(check (option stuple)) "disjoint witnesses: no pivot" None
-    (H.Tuple_graph.find_pivot g2 w2)
+    (Reference.Tuple_graph.find_pivot g2 w2)
 
 let test_pivot_requires_root_path () =
   (* witness {A1, C1} is not a contiguous path from A1 (skips B1) *)
-  let g = H.Tuple_graph.of_witness_paths [ [ t "A" "1"; t "B" "1"; t "C" "1" ] ] in
+  let g = Reference.Tuple_graph.of_witness_paths [ [ t "A" "1"; t "B" "1"; t "C" "1" ] ] in
   let witnesses = [ R.Stuple.Set.of_list [ t "A" "1"; t "C" "1" ] ] in
-  Alcotest.(check (option stuple)) "no pivot" None (H.Tuple_graph.find_pivot g witnesses)
+  Alcotest.(check (option stuple)) "no pivot" None (Reference.Tuple_graph.find_pivot g witnesses)
 
 (* random trees are forests; adding any extra edge between existing
    non-adjacent vertices breaks forestness *)
@@ -216,13 +216,13 @@ let prop_random_tree_forest =
     (fun n ->
       let rng = rng n in
       let verts = Array.init n (fun i -> t "V" (string_of_int i)) in
-      let g = ref H.Tuple_graph.empty in
-      g := H.Tuple_graph.add_vertex !g verts.(0);
+      let g = ref Reference.Tuple_graph.empty in
+      g := Reference.Tuple_graph.add_vertex !g verts.(0);
       for i = 1 to n - 1 do
         let p = Random.State.int rng i in
-        g := H.Tuple_graph.add_edge !g verts.(i) verts.(p)
+        g := Reference.Tuple_graph.add_edge !g verts.(i) verts.(p)
       done;
-      H.Tuple_graph.is_forest !g)
+      Reference.Tuple_graph.is_forest !g)
 
 let suite =
   [

@@ -144,8 +144,10 @@ let check_family f seed () =
   let arena = D.Arena.build prov in
   let seq = List.hd (D.Portfolio.solutions arena) in
   let par =
-    List.hd
-      (D.Portfolio.solutions ~domains:(Domain.recommended_domain_count ()) arena)
+    let pool = D.Par.Pool.create ~domains:2 () in
+    Fun.protect
+      ~finally:(fun () -> D.Par.Pool.shutdown pool)
+      (fun () -> List.hd (D.Portfolio.solutions ~pool arena))
   in
   Alcotest.(check bool) "portfolio par = seq best cost" true
     (Float.abs (D.Solution.cost seq -. D.Solution.cost par) < 1e-9)

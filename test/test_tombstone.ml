@@ -1,11 +1,13 @@
 (* The tombstone arena regime: generation-stamped lazy deletion must be
-   observationally identical to compact-every-round sessions — same
+   observationally identical to compact-every-commit sessions — same
    solutions, same fingerprints, same partition labels, same recovery —
    with compaction an explicit, amortized event. The differential
-   properties here drive the two regimes in lockstep; the unit tests pin
-   the crash window between a committed delta and its compaction, the
-   checkpoint-compacts invariant, the single-component cache routing and
-   the proactive threshold-bucket eviction sweep. *)
+   properties here drive a tombstoned session and a twin that compacts
+   after every commit in lockstep; the unit tests pin the crash window
+   between a committed delta and its compaction, the checkpoint-compacts
+   invariant, the compaction events of both session kinds, the
+   single-component cache routing and the proactive threshold-bucket
+   eviction sweep. *)
 
 open Util
 module R = Relational
@@ -63,17 +65,17 @@ let prop_compact_random =
   qcheck ~count:50 "arena: compact (delete) = scratch build (random)" seeds
     (check_compact_idempotent Test_decompose.random_prov)
 
-(* ---- lockstep differential: lazy tombstones ≡ compact every round ---- *)
+(* ---- lockstep differential: lazy tombstones ≡ compact every commit ---- *)
 
-(* Two sessions over the same database consume the same mixed
-   delete/insert/solve stream: [eng_l] under the lazy regime
-   (threshold 0.3, so the stream crosses it and real amortized
-   compactions fire mid-run), [eng_e] eagerly compacting on every
-   delete (the pre-tombstone behaviour). After every commit the live
-   indexes must agree up to compaction — bit-identical arenas and
-   partition labels once the lazy one compacts, equal content
-   fingerprints *without* compacting — and every solve must rank
-   bit-identical solutions. *)
+(* Two default sessions over the same database consume the same mixed
+   delete/insert/solve stream: [eng_l] keeps its tombstones, compacting
+   explicitly at seeded random steps (so compactions still fire
+   mid-stream, between tombstoned stretches), while its twin [eng_e]
+   calls [Engine.compact] after every commit (the pre-tombstone
+   behaviour). After every commit the live indexes must agree up to
+   compaction — bit-identical arenas and partition labels once the lazy
+   one compacts, equal content fingerprints *without* compacting — and
+   every solve must rank bit-identical solutions. *)
 let check_lazy_stream ~plan seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
@@ -87,16 +89,21 @@ let check_lazy_stream ~plan seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let mk ct =
-    Engine.create ~plan ~domains:1 ~compact_threshold:ct p.D.Problem.db queries
+  let mk () = Engine.create ~plan ~domains:1 p.D.Problem.db queries in
+  let eng_l = mk () in
+  let eng_e = mk () in
+  (* the lazy side's compaction schedule: its own generator, so the
+     delta stream is the same whatever it draws *)
+  let compact_rng = Util.rng (seed + 7) in
+  let after_commit () =
+    Engine.compact eng_e;
+    if Random.State.int compact_rng 3 = 0 then Engine.compact eng_l
   in
-  let eng_l = mk 0.3 in
-  let eng_e = mk 0.0 in
   let deleted_pool = ref [] in
   let check_indexes tag =
     let _, arena_l = Engine.index eng_l in
     let _, arena_e = Engine.index eng_e in
-    (* the eager session never tombstones *)
+    (* the twin never holds a tombstone past its commit *)
     Alcotest.(check bool) (tag ^ ": eager arena compact") false
       (D.Arena.tombstoned arena_e);
     (* fingerprints are tombstone-invariant: equal without compacting *)
@@ -136,6 +143,7 @@ let check_lazy_stream ~plan seed =
     let delta = D.Delta.make ~deletes ~inserts () in
     let a_l = Engine.apply_delta eng_l delta in
     let a_e = Engine.apply_delta eng_e delta in
+    after_commit ();
     Alcotest.check Util.stuple_set (tag ^ ": same deletes applied")
       a_e.D.Delta.deletes a_l.D.Delta.deletes;
     Alcotest.check Util.stuple_set (tag ^ ": same inserts applied")
@@ -153,7 +161,9 @@ let check_lazy_stream ~plan seed =
         | Ok p_l, Ok p_e ->
           Test_engine.check_solutions_equal tag p_l.Engine.solutions
             p_e.Engine.solutions;
-          (match (Engine.apply eng_l p_l, Engine.apply eng_e p_e) with
+          let applied = (Engine.apply eng_l p_l, Engine.apply eng_e p_e) in
+          after_commit ();
+          (match applied with
           | Some s_l, Some s_e ->
             Alcotest.check Util.stuple_set (tag ^ ": same solution applied")
               s_e.D.Solution.deleted s_l.D.Solution.deleted;
@@ -169,9 +179,7 @@ let check_lazy_stream ~plan seed =
   check_indexes "final";
   let s_l = Engine.stats eng_l in
   let s_e = Engine.stats eng_e in
-  (* the eager session never counts explicit compactions and never
-     reports tombstones *)
-  Alcotest.(check int) "eager: no explicit compactions" 0 s_e.Engine.compactions;
+  (* the twin never reports tombstones *)
   Alcotest.(check bool) "eager: zero tombstone ratio" true
     (Float.equal s_e.Engine.tombstone_ratio 0.0);
   (* an explicit compact converges the lazy session to the eager form *)
@@ -223,15 +231,16 @@ let mixed_problem seed =
 
 (* The journal records the delta at commit time; compaction is a pure
    in-memory reorganization that is never journaled. A session killed
-   with tombstones outstanding (threshold 0.99 keeps the amortized
-   trigger from firing) must recover to the same logical state. *)
+   with tombstones outstanding (below the 0.5 dead-slot ratio, so the
+   amortized trigger has not fired) must recover to the same logical
+   state. *)
 let test_recovery_mid_tombstone () =
   with_temp_journal (fun path ->
       let p = mixed_problem 42 in
       let queries = p.D.Problem.queries in
       let mk ~recover =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
-          ~journal:path ~recover p.D.Problem.db queries
+        Engine.create ~plan:true ~domains:1 ~journal:path ~recover
+          p.D.Problem.db queries
       in
       let eng1 = mk ~recover:false in
       let rng = rng 421 in
@@ -245,6 +254,8 @@ let test_recovery_mid_tombstone () =
       let s1 = Engine.stats eng1 in
       Alcotest.(check bool) "crash point: tombstones outstanding" true
         (s1.Engine.tombstone_ratio > 0.0);
+      Alcotest.(check bool) "crash point: below the compaction trigger" true
+        (s1.Engine.tombstone_ratio < 0.5);
       Alcotest.(check int) "crash point: nothing compacted yet" 0
         s1.Engine.compactions;
       (* "crash": no close, no checkpoint — the journal holds every
@@ -279,14 +290,16 @@ let test_checkpoint_compacts () =
       let p = mixed_problem 7 in
       let queries = p.D.Problem.queries in
       let eng =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
-          ~journal:path p.D.Problem.db queries
+        Engine.create ~plan:true ~domains:1 ~journal:path p.D.Problem.db
+          queries
       in
       (match R.Instance.stuples (Engine.db eng) with
       | st :: _ -> Engine.delete eng (R.Stuple.Set.singleton st)
       | [] -> Alcotest.fail "empty instance");
       Alcotest.(check bool) "tombstoned before checkpoint" true
         ((Engine.stats eng).Engine.tombstone_ratio > 0.0);
+      Alcotest.(check bool) "below the compaction trigger" true
+        ((Engine.stats eng).Engine.tombstone_ratio < 0.5);
       Engine.checkpoint eng;
       let s = Engine.stats eng in
       Alcotest.(check bool) "checkpoint compacted" true
@@ -295,13 +308,114 @@ let test_checkpoint_compacts () =
         s.Engine.compactions;
       (* the checkpointed journal still recovers exactly *)
       let eng2 =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
+        Engine.create ~plan:true ~domains:1
           ~journal:path ~recover:true p.D.Problem.db queries
       in
       Alcotest.(check bool) "checkpointed journal recovers" true
         (R.Instance.equal (Engine.db eng) (Engine.db eng2));
       Engine.close eng;
       Engine.close eng2)
+
+(* ---- the compaction events ---- *)
+
+(* A plan session deletes one live tuple at a time. Each delete is
+   replayed on a copy of the live index first, which predicts whether
+   it leaves more than half of the slots dead: exactly the delete that
+   does compacts, once, back to a zero ratio, and the compacted
+   session answers bit-identically to a scratch session over the same
+   database. *)
+let test_plan_ratio_trigger () =
+  let p = mixed_problem 11 in
+  let queries = p.D.Problem.queries in
+  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
+  let rng = rng 111 in
+  let rec drive step =
+    match R.Instance.stuples (Engine.db eng) with
+    | [] -> Alcotest.fail "instance emptied before the ratio crossed 0.5"
+    | sts ->
+      let tag = Printf.sprintf "step %d" step in
+      let dd =
+        R.Stuple.Set.singleton
+          (List.nth sts (Random.State.int rng (List.length sts)))
+      in
+      let prov, arena = Engine.index eng in
+      let prov' = D.Provenance.delete prov dd in
+      let crosses =
+        D.Arena.tombstone_ratio (D.Arena.delete arena ~dd prov') > 0.5
+      in
+      Engine.delete eng dd;
+      let s = Engine.stats eng in
+      if crosses then begin
+        Alcotest.(check int) (tag ^ ": crossing compacts once") 1
+          s.Engine.compactions;
+        Alcotest.(check bool) (tag ^ ": ratio back to zero") true
+          (Float.equal s.Engine.tombstone_ratio 0.0)
+      end
+      else begin
+        Alcotest.(check int) (tag ^ ": below the trigger, no compaction") 0
+          s.Engine.compactions;
+        Alcotest.(check bool) (tag ^ ": tombstones kept") true
+          (s.Engine.tombstone_ratio > 0.0 && s.Engine.tombstone_ratio <= 0.5);
+        drive (step + 1)
+      end
+  in
+  drive 1;
+  let scratch =
+    Engine.create ~plan:true ~domains:1 (Engine.db eng) queries
+  in
+  Test_engine.check_arena_equal "compacted index = scratch"
+    (snd (Engine.index eng)) (snd (Engine.index scratch));
+  let prov, _ = Engine.index eng in
+  for round = 1 to 3 do
+    match Test_engine.random_requests (Util.rng (round + 200)) prov with
+    | [] -> ()
+    | reqs ->
+      let tag = Printf.sprintf "round %d" round in
+      Test_engine.check_solutions_equal (tag ^ ": compacted ≡ scratch")
+        (Test_shardcache.request_exn tag eng reqs).Engine.solutions
+        (Test_shardcache.request_exn tag scratch reqs).Engine.solutions
+  done;
+  Alcotest.(check int) "requests do not compact a plan session" 1
+    (Engine.stats eng).Engine.compactions;
+  Engine.close eng;
+  Engine.close scratch
+
+(* A flat session keeps its tombstones past a delete; the next request
+   gathers them away once, and identical repeats find the index already
+   compact — three proposes, one compaction, bit-identical answers. *)
+let test_flat_request_compacts_once () =
+  let p = mixed_problem 5 in
+  let queries = p.D.Problem.queries in
+  let eng = Engine.create ~domains:1 p.D.Problem.db queries in
+  (match R.Instance.stuples (Engine.db eng) with
+  | st :: _ -> Engine.delete eng (R.Stuple.Set.singleton st)
+  | [] -> Alcotest.fail "empty instance");
+  let s0 = Engine.stats eng in
+  Alcotest.(check bool) "flat commit leaves tombstones" true
+    (s0.Engine.tombstone_ratio > 0.0);
+  let prov, _ = Engine.index eng in
+  let reqs =
+    match Test_engine.random_requests (Util.rng 51) prov with
+    | [] -> Alcotest.fail "no view tuple left to request"
+    | reqs -> reqs
+  in
+  let p1 = Test_shardcache.request_exn "propose 1" eng reqs in
+  let p2 = Test_shardcache.request_exn "propose 2" eng reqs in
+  let p3 = Test_shardcache.request_exn "propose 3" eng reqs in
+  let s = Engine.stats eng in
+  Alcotest.(check int) "three proposes, one compaction"
+    (s0.Engine.compactions + 1) s.Engine.compactions;
+  Alcotest.(check bool) "index compact after the first propose" true
+    (Float.equal s.Engine.tombstone_ratio 0.0);
+  Test_engine.check_solutions_equal "propose 2 ≡ propose 1"
+    p2.Engine.solutions p1.Engine.solutions;
+  Test_engine.check_solutions_equal "propose 3 ≡ propose 1"
+    p3.Engine.solutions p1.Engine.solutions;
+  let scratch = Engine.create ~domains:1 (Engine.db eng) queries in
+  Test_engine.check_solutions_equal "propose ≡ scratch" p1.Engine.solutions
+    (Test_shardcache.request_exn "scratch" scratch reqs).Engine.solutions;
+  Engine.close eng;
+  Engine.close scratch
 
 (* ---- single-component rounds route through the shard cache ---- *)
 
@@ -338,7 +452,7 @@ let test_single_component_cached () =
    proactively, not lazily at splice time *)
 let test_bucket_eviction () =
   let cache = D.Planner.create_cache () in
-  let solve a = D.Planner.solve ~exact_threshold:1 ~domains:1 ~cache a in
+  let solve a = D.Planner.solve ~exact_threshold:1 ~cache a in
   (* find an instance that stores an approximate-tier entry *)
   let rec find_approx s =
     if s > 500 then Alcotest.fail "no cacheable approximate shard in 500 seeds"
@@ -408,4 +522,8 @@ let suite =
       test_single_component_cached;
     Alcotest.test_case "planner: proactive bucket eviction" `Quick
       test_bucket_eviction;
+    Alcotest.test_case "engine: plan session compacts once past 0.5" `Quick
+      test_plan_ratio_trigger;
+    Alcotest.test_case "engine: flat proposes compact once" `Quick
+      test_flat_request_compacts_once;
   ]
