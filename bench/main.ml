@@ -607,7 +607,7 @@ let bench_shardcache =
        let reqs = requests_of p in
        let part = Engine.partition eng in
        let _, arena = Engine.index eng in
-       let ncomp = part.D.Arena.num_components in
+       let ncomp = part.D.Component_index.num_components in
        (* one representative source tuple per component — the session
           state is bit-restored after every round's delta, so these stay
           valid across invocations *)
@@ -615,7 +615,7 @@ let bench_shardcache =
        Array.iteri
          (fun sid c ->
            if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
+         part.D.Component_index.comp_of_sid;
        (* one warm pass: the first measured invocation already sees the
           steady state (for `nocache` this is a no-op beyond warming the
           allocator — it re-solves everything every round regardless) *)
@@ -689,7 +689,7 @@ let bench_deltafloor =
     let tbl = Hashtbl.create 7 in
     Array.iteri
       (fun vid (vt : D.Vtuple.t) ->
-        if part.D.Arena.comp_of_vid.(vid) = 0 then
+        if part.D.Component_index.comp_of_vid.(vid) = 0 then
           Hashtbl.replace tbl vt.D.Vtuple.query
             (vt.D.Vtuple.tuple
             :: (try Hashtbl.find tbl vt.D.Vtuple.query with Not_found -> [])))
@@ -723,12 +723,12 @@ let bench_deltafloor =
          let part = Engine.partition eng in
          let _, arena = Engine.index eng in
          let reqs = requests_of part arena in
-         let ncomp = part.D.Arena.num_components in
+         let ncomp = part.D.Component_index.num_components in
          let rep = Array.make (max ncomp 1) None in
          Array.iteri
            (fun sid c ->
              if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-           part.D.Arena.comp_of_sid;
+           part.D.Component_index.comp_of_sid;
          run_rounds ~eager eng reqs rep ncomp;
          (eng, reqs, rep, ncomp))
     in
@@ -782,7 +782,7 @@ let bench_compindex =
     let tbl = Hashtbl.create 7 in
     Array.iteri
       (fun vid (vt : D.Vtuple.t) ->
-        if part.D.Arena.comp_of_vid.(vid) = 0 then
+        if part.D.Component_index.comp_of_vid.(vid) = 0 then
           Hashtbl.replace tbl vt.D.Vtuple.query
             (vt.D.Vtuple.tuple
             :: (try Hashtbl.find tbl vt.D.Vtuple.query with Not_found -> [])))
@@ -809,12 +809,12 @@ let bench_compindex =
        let part = Engine.partition eng in
        let _, arena = Engine.index eng in
        let reqs = requests_of part arena in
-       let ncomp = part.D.Arena.num_components in
+       let ncomp = part.D.Component_index.num_components in
        let rep = Array.make (max ncomp 1) None in
        Array.iteri
          (fun sid c ->
            if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
+         part.D.Component_index.comp_of_sid;
        run_rounds eng reqs rep ncomp;
        (eng, reqs, rep, ncomp))
   in
@@ -926,7 +926,7 @@ let bench_rewarm =
     let part = Engine.partition eng in
     let _, arena = Engine.index eng in
     (match
-       Array.find_index (fun c -> c = 0) part.D.Arena.comp_of_sid
+       Array.find_index (fun c -> c = 0) part.D.Component_index.comp_of_sid
      with
     | Some sid ->
       let s = R.Stuple.Set.singleton arena.D.Arena.stuples.(sid) in

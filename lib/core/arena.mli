@@ -78,8 +78,8 @@ val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
     answer it re-creates) bisects to a tombstoned slot whose stored row
     and weight match [prov] exactly, [None] otherwise (always on an
     arena with no dead slot). A caller that
-    must keep derived state (partitions, clean bits) aligned with the
-    physical layout tries this first and, on [None], compacts {e
+    must keep derived state (component labels, clean bits) aligned with
+    the physical layout tries this first and, on [None], compacts {e
     before} a merge-path [extend] rather than after. *)
 val resurrect : t -> ins:R.Stuple.Set.t -> Provenance.t -> t option
 
@@ -125,64 +125,12 @@ val of_stuple_set : t -> R.Stuple.Set.t -> Setcover.Bitset.t
 val of_vtuple_set : t -> Vtuple.Set.t -> Setcover.Bitset.t
 val to_stuple_set : t -> int list -> R.Stuple.Set.t
 
-(** {2 Connected components}
+(** {2 Shards}
 
-    The stuple↔vtuple incidence graph shatters into independent
-    components: a view tuple's witness lies entirely inside one
-    component, so solving per component and unioning the per-shard
-    deletions is exact for both feasibility and cost. *)
-
-type partition = {
-  comp_of_sid : int array;      (** sid -> component id ([-1] for
-                                    tombstoned slots) *)
-  comp_of_vid : int array;      (** vid -> component of its witness
-                                    ([-1] for tombstoned slots and empty
-                                    witnesses, the latter impossible on
-                                    built arenas) *)
-  num_components : int;
-}
-
-(** Union-find over the live witness rows, O(‖D‖ + Σ|witness| α).
-    Components are numbered canonically (by first appearance in
-    ascending {e live} sid order), so membership-equal partitions are
-    structurally equal — in particular the partition of a tombstoned
-    arena assigns the same labels as the partition of its compacted
-    form. The partition depends only on the live witness structure — it
-    is valid unchanged for any [with_deletions] re-stamp of the same
-    arena. *)
-val partition : t -> partition
-
-(** [compact_partition ~before p] — the partition of [compact before]
-    given [p = partition before]: live entries gather, labels (and so
-    [num_components]) are untouched, because canonical numbering already
-    skips dead slots. Component-keyed state (clean bits, caches)
-    survives compaction without remapping. The identity when [before]
-    carries no tombstone. *)
-val compact_partition : before:t -> partition -> partition
-
-(** [partition_delete p ~before ~dd a'] — the partition of
-    [a' = delete before ~dd prov'], patched incrementally from
-    [p = partition before]: deletions only split components (no witness
-    row ever gains a member), so only components containing a deleted
-    tuple are re-unioned, the rest keep their membership. [a'] must be
-    the tombstoned result of {!delete} itself, sharing [before]'s
-    physical arrays, so the id correspondence is the identity; any other
-    arena (a compacted one included) raises [Invalid_argument] — a
-    caller that wants a compact partition compacts afterwards
-    ({!compact_partition}). Bit-identical to [partition a'] (checked by
-    the engine differential suite). *)
-val partition_delete : partition -> before:t -> dd:R.Stuple.Set.t -> t -> partition
-
-(** [partition_insert p ~before a'] — the partition of
-    [a' = extend before ~ins prov'], patched incrementally from
-    [p = partition before]: insertions only {e merge} components (every
-    old witness row survives intact), so the old components are re-used
-    wholesale via one chain-union each and only the {e gained} witness
-    rows — the rows that can bridge shards — are unioned in. Handles
-    both [extend] regimes: in-place resurrection (shared arrays) and
-    the compact-and-merge path. Bit-identical to [partition a']
-    (checked by the engine differential suite). *)
-val partition_insert : partition -> before:t -> t -> partition
+    Component labels — which slots form one independent component of the
+    stuple↔vtuple incidence graph — are owned by {!Component_index},
+    which computes them inside its own transitions. The arena only
+    compiles a component's members into a standalone arena. *)
 
 (** One active component, compiled as a standalone arena over the
     restricted provenance ({!Provenance.restrict}) — solvers never see

@@ -1,55 +1,63 @@
-(** First-class live component index: the partition plus per-component
-    member rosters, maintained incrementally across the whole delta
-    lifecycle.
+(** The live component index: the one owner of component labels, plus
+    per-component member rosters, solve memos and clean bits, maintained
+    incrementally across the whole delta lifecycle.
 
-    {!Arena.partition} answers "which component does this slot belong
-    to?" in O(1), but enumerating a component's {e members} — what every
-    planner round needs to build its proto-shards — would mean sweeping
-    the full [comp_of_vid]/[comp_of_sid] arrays, the residual
-    O(‖D‖ + ‖V‖) term in otherwise component-local rounds (that sweep
-    survives only as this module's test oracle, in [test/reference]).
-    This module owns both: the canonical partition {e and} ascending
-    member rosters per component, patched by the same transitions the
-    partition itself uses — deletes re-roster only the affected
-    components' fragments ({!delete} delegates the labels to
-    {!Arena.partition_delete}), inserts re-roster only the merged
-    components ({!insert} / {!Arena.partition_insert}), and compaction
-    remaps member ids without a global rebuild ({!compact}). {!active}
-    is then an O(‖ΔV‖ + active·log active) lookup that returns the {e
-    same} proto-shards, bit-identical, that the sweep would have built.
+    Key preservation gives every view tuple exactly one witness, so the
+    stuple↔vtuple incidence graph shatters into independent components —
+    a witness lies inside one component — and solving per component is
+    exact for both feasibility and cost. Each transition computes labels
+    and rosters together: {!build} from scratch, {!delete} and {!insert}
+    by patching only the components they touch, {!compact} by one id
+    gather. {!active} then returns, in O(‖ΔV‖ + active·log active), the
+    same proto-shards, bit-identical, that a sweep over the label arrays
+    would build (that sweep survives as the test oracle in
+    [test/reference]).
 
-    The index additionally carries one {e solve memo} per component —
-    the fingerprint and ΔV of the component's last planner answer —
-    which is what the split-aware cache reuse in {!Planner.seed_fragments}
-    restricts onto surviving fragments. Memos are advisory: dropping one
-    never changes an answer, only forfeits a reuse.
+    A {e solve memo} per component — the fingerprint and ΔV of its last
+    planner answer — is what {!Planner.seed_fragments} restricts onto
+    surviving fragments; dropping one never changes an answer. A {e clean
+    bit} per component is the shard cache's invalidation state (see
+    {!clean}). Every transition is pure — fresh arrays, input untouched —
+    so a caller may run one speculatively; only {!record_memo} and
+    {!mark_clean} write in place. The lockstep suite
+    ([test/test_compindex.ml]) checks labels, rosters and {!active}
+    against {!build} from scratch over random mixed delta streams. *)
 
-    It is also the only holder of the shard cache's invalidation state:
-    one {e clean bit} per component, which says no committed delta has
-    touched the component since a planner round last answered it (see
-    {!clean}). Every transition below is pure — it allocates fresh
-    arrays and never mutates its input — so a caller may run one
-    speculatively on a live index; only {!record_memo} and
-    {!mark_clean} write in place.
-
-    Lockstep differential tests ([test/test_compindex.ml]) drive random
-    mixed delta streams (splits, merges, resurrections, compactions)
-    through this index and through scratch recomputation and check the
-    partitions, rosters and {!active} outputs are bit-identical. *)
+(** The component labels. Components are numbered canonically — by
+    first appearance in ascending {e live} sid order — so
+    membership-equal labellings are structurally equal: the labels of a
+    tombstoned arena equal those of its compacted form, and every
+    transition's result equals {!build} of the same arena. Labels depend
+    only on the live witness structure, so they hold unchanged for any
+    [Arena.with_deletions] re-stamp of the arena. *)
+type partition = {
+  comp_of_sid : int array;      (** sid -> component id ([-1] for
+                                    tombstoned slots) *)
+  comp_of_vid : int array;      (** vid -> component of its witness
+                                    ([-1] for tombstoned slots and empty
+                                    witnesses, the latter impossible on
+                                    built arenas) *)
+  num_components : int;
+}
 
 type t
 
-(** The canonical partition the index maintains — exactly what
-    [Arena.partition] would compute from the same arena (bit-identical
-    labels; the lockstep suite enforces it). *)
-val partition : t -> Arena.partition
-
-(** [of_partition p] — bucket [p]'s members into rosters (one
-    O(‖D‖ + ‖V‖) pass; the only full sweep the index ever does). *)
-val of_partition : Arena.partition -> t
-
-(** [build a] = [of_partition (Arena.partition a)]. *)
+(** [build a] — the scratch labelling of [a]: union-find over the live
+    witness rows, O(‖D‖ + Σ|witness| α), then one count/fill pass per
+    axis for the rosters. Every component starts dirty with no memo. *)
 val build : Arena.t -> t
+
+(** The labels the index maintains. *)
+val partition : t -> partition
+
+(** [num_components t] = [(partition t).num_components]. *)
+val num_components : t -> int
+
+(** Component of a sid / a vid ([-1] for dead slots, and for view
+    tuples with an empty witness). *)
+
+val comp_of_sid : t -> int -> int
+val comp_of_vid : t -> int -> int
 
 (** Ascending live member ids of component [c]. The returned arrays are
     owned by the index — callers must not mutate them. A component with
@@ -59,40 +67,45 @@ val sids_of : t -> int -> int array
 val vids_of : t -> int -> int array
 
 (** [delete t ~before ~dd a'] — the index after committing the deletion
-    [dd]. [a'] must be [Arena.delete before ~dd _] itself, tombstoned and
-    sharing [before]'s arrays ([Invalid_argument] otherwise, raised by
-    {!Arena.partition_delete}); a caller
-    that wants a compact index compacts afterwards ({!compact}). Only
-    the affected components re-roster: their fragments re-bucket, start
-    dirty and drop their memos ({!Planner.seed_fragments} may re-seed an
-    untouched fragment). Every other component shares its roster, memo
-    and clean bit with [t]. *)
+    [dd]. Deletions only split components (no witness row gains a
+    member), so only the components holding a deleted tuple re-union
+    their surviving rows; their fragments re-bucket, start dirty and
+    drop their memos ({!Planner.seed_fragments} may re-seed an untouched
+    fragment). Every other component keeps its membership and shares
+    its roster, memo and clean bit with [t] under its new label. [a']
+    must be [Arena.delete before ~dd _] itself, tombstoned and sharing
+    [before]'s arrays, so the id correspondence is the identity; any
+    other arena (a compacted one included) raises [Invalid_argument]. A
+    caller that wants a compact index compacts afterwards ({!compact}). *)
 val delete : t -> before:Arena.t -> dd:Relational.Stuple.Set.t -> Arena.t -> t
 
 (** [insert t ~before a'] — the index after an insertion
-    ([a' = Arena.extend before ~ins _]; same contract as
-    {!Arena.partition_insert}). On the resurrect path only components
-    that merged or gained a member re-roster (memos drop, bits start
-    dirty); the rest share. The merge path re-buckets from scratch (ids
-    moved, memos drop) and carries each clean bit along the sorted-run
-    correspondence: a component stays clean iff it gained no inserted
-    tuple, hence merged nothing. *)
+    ([a' = Arena.extend before ~ins _]). Insertions only merge
+    components. On the resurrect path ([a'] shares [before]'s arrays)
+    each old component enters the union-find through its smallest
+    member and only the gained witness rows are unioned in; only
+    components that merged or gained a member re-roster (memos drop,
+    bits start dirty), the rest share. On the merge path ids moved, so
+    the index is rebuilt ({!build} of [a'], memos drop) and each clean
+    bit is carried along the sorted-run correspondence: a component
+    stays clean iff it gained no inserted tuple, hence merged nothing.
+    [before] may carry tombstones on either path. *)
 val insert : t -> before:Arena.t -> Arena.t -> t
 
 (** [compact t ~before] — the index over [Arena.compact before]: labels
-    survive ({!Arena.compact_partition}), roster ids remap to the
-    compacted arena's, and memos survive too — their fingerprints are
-    compaction-invariant ({!Fingerprint}) and their ΔV vids remap with
-    the rosters. Clean bits carry as-is. *)
+    survive unchanged (canonical numbering already skips dead slots) and
+    gather with the live ids, roster ids remap to the compacted arena's,
+    and memos survive too — their fingerprints are compaction-invariant
+    ({!Fingerprint}) and their ΔV vids remap with the rosters. Clean
+    bits carry as-is. The identity when [before] carries no tombstone. *)
 val compact : t -> before:Arena.t -> t
 
 (** [active t a] — the proto-shards of the components holding a bad
     view tuple of [a], ascending by component, each roster ascending:
-    bit-identical to the partition-array sweep over [partition t] (the
+    bit-identical to the label-array sweep over [partition t] (the
     [test/reference] oracle) but O(‖ΔV‖ + active·log active) instead of
-    O(‖D‖ + ‖V‖). [a] must
-    share the index's physical id space (the session arena or a
-    [with_deletions] re-stamp of it). *)
+    O(‖D‖ + ‖V‖). [a] must share the index's physical id space (the
+    session arena or a [with_deletions] re-stamp of it). *)
 val active : t -> Arena.t -> Arena.proto_shard array
 
 (** {2 Solve memos (split-aware reuse)} *)
@@ -112,7 +125,7 @@ val memo : t -> int -> (Fingerprint.t * int array) option
     committed delta, component [c] is clean iff its live stuple set
     equals that of a component that was clean before the commit, or
     {!Planner.seed_fragments} just seeded it. A fresh index
-    ({!of_partition}) is all dirty; a planner round marks the shards it
+    ({!build}) is all dirty; a planner round marks the shards it
     answered clean ({!mark_clean}). The bits are only read when a shard
     cache is in play. *)
 

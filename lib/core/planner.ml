@@ -782,14 +782,13 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
 
 let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
     ~after_index =
-  let p = Component_index.partition before_index in
-  let p' = Component_index.partition after_index in
   (* affected old components, each considered once, ascending *)
   let affected =
     List.sort_uniq Int.compare
       (R.Stuple.Set.fold
          (fun st acc ->
-           p.Arena.comp_of_sid.(Arena.stuple_id before st) :: acc)
+           Component_index.comp_of_sid before_index (Arena.stuple_id before st)
+           :: acc)
          dd [])
   in
   let newly_dead vid =
@@ -813,10 +812,12 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
               (fun v -> not (Bitset.mem after.Arena.dead_v v))
               bad
           then begin
-            let f = p'.Arena.comp_of_vid.(bad.(0)) in
+            let f = Component_index.comp_of_vid after_index bad.(0) in
             if
               f >= 0
-              && Array.for_all (fun v -> p'.Arena.comp_of_vid.(v) = f) bad
+              && Array.for_all
+                   (fun v -> Component_index.comp_of_vid after_index v = f)
+                   bad
             then begin
               let f_sids = Component_index.sids_of after_index f in
               let f_vids = Component_index.vids_of after_index f in
@@ -845,7 +846,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                 R.Stuple.Set.iter
                   (fun st ->
                     let sid = Arena.stuple_id before st in
-                    if p.Arena.comp_of_sid.(sid) = comp then
+                    if Component_index.comp_of_sid before_index sid = comp then
                       Array.iter
                         (fun vid ->
                           if newly_dead vid then
@@ -873,7 +874,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                             if Hashtbl.mem bad_set v then acc
                             else if
                               Bitset.mem after.Arena.dead_v v
-                              || p'.Arena.comp_of_vid.(v) <> f
+                              || Component_index.comp_of_vid after_index v <> f
                             then v :: acc
                             else acc)
                           []

@@ -55,7 +55,7 @@ type classification =
   | Approximate     (** approximation portfolio *)
 
 type shard_decision = {
-  component : int;          (** parent component id ({!Arena.partition}) *)
+  component : int;          (** parent component id ({!Component_index}) *)
   stuples : int;
   vtuples : int;
   bad : int;

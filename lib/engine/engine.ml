@@ -112,45 +112,12 @@ let pp_stats ppf s =
     s.fragment_reuses_exact s.fragment_reuses_forest s.fragment_reuses_approx
     s.journal_records s.recovered_records pp_snapshot_status s.snapshot
 
-(* The typed reporting surface: [Stats.t] is an alias of the flat record
-   (field access through either path), plus the one JSON encoding every
-   front end shares. The deprecated alias spellings [index_hits] /
-   [cache_hits] served their one promised release (schema version 2) and
-   are gone as of version 3 — [index_retargets] is the only name. *)
+(* The one JSON encoding every front end shares. The deprecated alias
+   spellings [index_hits] / [cache_hits] served their one promised
+   release (schema version 2) and are gone as of version 3 —
+   [index_retargets] is the only name. *)
 module Stats = struct
-  type t = stats = {
-    rounds : int;
-    applies : int;
-    tuples_deleted : int;
-    tuples_inserted : int;
-    patches : int;
-    inserts_patched : int;
-    rebuilds : int;
-    index_retargets : int;
-    last_solve_ms : float;
-    total_solve_ms : float;
-    journal_records : int;
-    recovered_records : int;
-    components : int;
-    shards_solved : int;
-    shards_exact : int;
-    shards_approx : int;
-    shards_cached : int;
-    shards_resolved : int;
-    shard_cache_hits : int;
-    fragment_reuses : int;
-    fragment_reuses_exact : int;
-    fragment_reuses_forest : int;
-    fragment_reuses_approx : int;
-    tombstone_ratio : float;
-    compactions : int;
-    snapshot : snapshot_status;
-  }
-
-  let zero = zero_stats
-  let pp = pp_stats
-
-  let to_json (s : t) =
+  let to_json (s : stats) =
     D.Report.Obj
       [
         ("rounds", D.Report.Int s.rounds);
@@ -205,8 +172,6 @@ type index = {
          the merged ones ([Component_index.insert]) *)
 }
 
-let part_of ix = D.Component_index.partition ix.cindex
-
 type t = {
   queries : Cq.Query.t list;
   weights : D.Weights.t option;
@@ -228,7 +193,6 @@ type t = {
       (* records currently in the journal = the position a snapshot
          written now would record *)
   mutable last_snapshot_len : int;
-  mutable mv : D.Matview.t;
   mutable index : index;
   mutable stats : stats;
   shard_cache : D.Planner.cache option;
@@ -250,12 +214,15 @@ let index_of t =
   t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
   t.index
 
+(* the session database is the live provenance's own *)
+let db t = t.index.prov.D.Provenance.problem.D.Problem.db
+
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
 
 (* gather the live slots of an arena and its index together (labels —
    and so the index's clean bits and the shard cache — survive
-   untouched, see [Arena.compact_partition]) *)
+   untouched, see [Component_index.compact]) *)
 let compact_pair arena cindex =
   (D.Arena.compact arena, D.Component_index.compact cindex ~before:arena)
 
@@ -271,8 +238,8 @@ let compact_index t =
 
 (* Apply a symmetric update, deletes first then inserts, each side
    patching the live index ([Provenance.delete]/[Arena.delete]/
-   [Arena.partition_delete] and [Provenance.insert]/[Arena.extend]/
-   [Arena.partition_insert]). Returns the subset actually applied:
+   [Component_index.delete] and [Provenance.insert]/[Arena.extend]/
+   [Component_index.insert]). Returns the subset actually applied:
    deletes of tuples already gone and inserts of tuples already present
    are skipped (a tuple both deleted and re-inserted counts on both
    sides — a journalled no-op, not a conflict). The session state
@@ -285,7 +252,7 @@ let compact_index t =
    merge-path insert forces it; [checkpoint], [compact] and flat
    [request]s compact too). *)
 let apply_delta_raw t (delta : D.Delta.t) =
-  let db = D.Matview.db t.mv in
+  let db = db t in
   let dd =
     R.Stuple.Set.filter (fun st -> R.Instance.mem db st) delta.D.Delta.deletes
   in
@@ -337,9 +304,6 @@ let apply_delta_raw t (delta : D.Delta.t) =
     end
   in
   t.index <- { prov; arena; cindex };
-  t.mv <-
-    D.Matview.of_views prov.D.Provenance.problem.D.Problem.db t.queries
-      prov.D.Provenance.views;
   t.stats <-
     {
       t.stats with
@@ -347,7 +311,7 @@ let apply_delta_raw t (delta : D.Delta.t) =
       tuples_inserted = t.stats.tuples_inserted + R.Stuple.Set.cardinal ins;
       patches = t.stats.patches + (if R.Stuple.Set.is_empty dd then 0 else 1);
       inserts_patched = t.stats.inserts_patched + R.Stuple.Set.cardinal ins;
-      components = (D.Component_index.partition cindex).D.Arena.num_components;
+      components = D.Component_index.num_components cindex;
     };
   (* amortized trigger, off the per-round critical path until the dead
      fraction actually matters *)
@@ -369,6 +333,19 @@ let replay_record t = function
   | Journal.Delta { deletes; inserts } ->
     ignore (apply_delta_raw t (D.Delta.make ~deletes ~inserts ()))
 
+(* The session database as a delta against the base: (tuples gone,
+   tuples added). What a checkpoint journals as its one record and what
+   the snapshot's fast recovery path applies in place of replaying the
+   journal prefix. *)
+let baseline t =
+  let cur = db t in
+  let diff a b =
+    R.Instance.fold
+      (fun st acc -> if R.Instance.mem b st then acc else R.Stuple.Set.add st acc)
+      a R.Stuple.Set.empty
+  in
+  (diff t.base_db cur, diff cur t.base_db)
+
 (* Persist the shard cache's plain-data state, coordinates first: the
    journal position, the arena's canonical fingerprint, and the index's
    dirty components. [Snapshot.write] is atomic (temp + fsync + rename),
@@ -387,32 +364,16 @@ let write_snapshot t =
       | None, Some path -> Journal.current_gen path + 1
       | None, None -> 0
     in
-    (* the session database as a delta against the base: what the fast
-       recovery path applies in place of replaying the [position]-record
-       journal prefix *)
-    let cur = D.Matview.db t.mv in
-    let gone =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem cur st then acc else R.Stuple.Set.add st acc)
-        t.base_db R.Stuple.Set.empty
-    in
-    let added =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem t.base_db st then acc else R.Stuple.Set.add st acc)
-        cur R.Stuple.Set.empty
-    in
     let entries = D.Planner.cache_entries c in
     Snapshot.write spath
       {
         Snapshot.position = t.journal_len;
         generation;
         arena_fp = D.Fingerprint.arena t.index.arena;
-        components = (part_of t.index).D.Arena.num_components;
+        components = D.Component_index.num_components t.index.cindex;
         dirty = D.Component_index.dirty t.index.cindex;
         stats = D.Planner.cache_stats c;
-        baseline = Some (gone, added);
+        baseline = Some (baseline t);
         entries;
       };
     t.last_snapshot_len <- t.journal_len;
@@ -468,7 +429,7 @@ let append_snapshot_delta t record =
           Snapshot.d_position = t.journal_len;
           d_generation = generation;
           d_arena_fp = D.Fingerprint.arena t.index.arena;
-          d_components = (part_of t.index).D.Arena.num_components;
+          d_components = D.Component_index.num_components t.index.cindex;
           d_dirty = D.Component_index.dirty t.index.cindex;
           d_stats = D.Planner.cache_stats c;
           d_removed = removed;
@@ -515,25 +476,11 @@ let checkpoint t =
       Journal.close_writer w;
       t.journal <- None
     | None -> ());
-    let cur = D.Matview.db t.mv in
-    let gone =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem cur st then acc else R.Stuple.Set.add st acc)
-        t.base_db R.Stuple.Set.empty
-    in
-    let added =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem t.base_db st then acc else st :: acc)
-        cur []
-    in
     (* a single symmetric record — deletes replay before inserts, so an
        update (same key, new tuple) drops the old row before its
        replacement lands *)
-    let records =
-      [ Journal.Delta { deletes = gone; inserts = R.Stuple.Set.of_list added } ]
-    in
+    let gone, added = baseline t in
+    let records = [ Journal.Delta { deletes = gone; inserts = added } ] in
     (* snapshot first, at the post-checkpoint position (1 record: the
        baseline delta), then the journal mark. A crash between the two
        leaves a snapshot whose position describes a journal that never
@@ -578,12 +525,10 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       journal_len = 0;
       last_snapshot_len = 0;
       pool = D.Par.Pool.create ?domains ();
-      mv = D.Matview.of_views db queries prov.D.Provenance.views;
       index = { prov; arena; cindex };
       stats =
         { zero_stats with rebuilds = 1;
-          components =
-            (D.Component_index.partition cindex).D.Arena.num_components };
+          components = D.Component_index.num_components cindex };
       shard_cache =
         (if plan && shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
@@ -623,7 +568,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       | None -> false
       | Some c ->
         if
-          s.Snapshot.components = (part_of t.index).D.Arena.num_components
+          s.Snapshot.components = D.Component_index.num_components t.index.cindex
           && D.Fingerprint.equal s.Snapshot.arena_fp
                (D.Fingerprint.arena t.index.arena)
         then begin
@@ -648,7 +593,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
        transitions and [install] copy the clean bits, and only [request]
        marks bits in place), so [cindex] is still all dirty *)
     let reset_state () =
-      t.mv <- D.Matview.of_views db queries prov.D.Provenance.views;
       t.index <- { prov; arena; cindex };
       (match t.shard_cache with
       | Some c -> D.Planner.cache_clear c
@@ -658,8 +602,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
           zero_stats with
           rebuilds = 1;
           snapshot = t.stats.snapshot;
-          components =
-            (D.Component_index.partition cindex).D.Arena.num_components;
+          components = D.Component_index.num_components cindex;
         }
     in
     (* Fast path — sealed-segment reclamation (ROADMAP item 4): with a
@@ -766,9 +709,13 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     if !reclaim then checkpoint t);
   t
 
-let db t = D.Matview.db t.mv
-let view t name = D.Matview.view t.mv name
-let matview t = t.mv
+(* the materialized views are the live provenance's own — a
+   [Matview.t] over them is just a record *)
+let matview t =
+  let prov = t.index.prov in
+  D.Matview.of_views (db t) t.queries prov.D.Provenance.views
+
+let view t name = D.Matview.view (matview t) name
 
 (* the two derived fields are snapshots of live state, stamped at read
    time: the planner cache owns the hit counter, the arena the ratio *)
@@ -804,7 +751,7 @@ let index t =
   let ix = index_of t in
   (ix.prov, ix.arena)
 
-let partition t = part_of (index_of t)
+let partition t = D.Component_index.partition (index_of t).cindex
 let component_index t = (index_of t).cindex
 
 let request ?budget_ms t requests =
@@ -835,11 +782,10 @@ let request ?budget_ms t requests =
        when a later delete splits it. [request] commits nothing, so the
        index these land on is the session's own. *)
     if report.D.Planner.decomposed then begin
-      let p = part_of ix in
       let by_comp = Hashtbl.create 16 in
       Setcover.Bitset.iter
         (fun vid ->
-          let c = p.D.Arena.comp_of_vid.(vid) in
+          let c = D.Component_index.comp_of_vid ix.cindex vid in
           let prev = try Hashtbl.find by_comp c with Not_found -> [] in
           Hashtbl.replace by_comp c (vid :: prev))
         arena'.D.Arena.bad;

@@ -17,8 +17,8 @@
       insertions patch it too ([Provenance.insert] / [Arena.extend]:
       gained rows resurrect dead slots or splice in by delta
       evaluation) — the index is built exactly once, in {!create}, and
-      the component partition stays live across both sides
-      ([Arena.partition_delete] splits, [Arena.partition_insert]
+      the component labels stay live across both sides
+      ([Component_index.delete] splits, [Component_index.insert]
       merges). Every patch is counted in {!stats} ([patches] /
       [inserts_patched]); [rebuilds] stays 1 for the whole session.
       Dead slots accumulate across rounds and the engine compacts
@@ -135,48 +135,15 @@ type stats = {
                               with the typed reason *)
 }
 
-(** The typed reporting surface. [Stats.t] is an alias of {!stats} (the
-    same record — field access works through either path); what it adds
-    is the one JSON encoding every front end shares, so the CLI's
-    [--json] output and any embedding application serialize stats
+(** The one JSON encoding every front end shares, so the CLI's
+    [--json] output and any embedding application serialize {!stats}
     identically. {!Stats.to_json} emits every field above, spelling
     floats with 3 decimals and [snapshot] as a one-object summary
     ([{"state": "cold" | "warm" | "degraded", ...}] with [entries] /
     [dropped] counts when warm and the {!Snapshot.warning_label} reason
     when degraded). *)
 module Stats : sig
-  type t = stats = {
-    rounds : int;
-    applies : int;
-    tuples_deleted : int;
-    tuples_inserted : int;
-    patches : int;
-    inserts_patched : int;
-    rebuilds : int;
-    index_retargets : int;
-    last_solve_ms : float;
-    total_solve_ms : float;
-    journal_records : int;
-    recovered_records : int;
-    components : int;
-    shards_solved : int;
-    shards_exact : int;
-    shards_approx : int;
-    shards_cached : int;
-    shards_resolved : int;
-    shard_cache_hits : int;
-    fragment_reuses : int;
-    fragment_reuses_exact : int;
-    fragment_reuses_forest : int;
-    fragment_reuses_approx : int;
-    tombstone_ratio : float;
-    compactions : int;
-    snapshot : snapshot_status;
-  }
-
-  val zero : t
-  val pp : Format.formatter -> t -> unit
-  val to_json : t -> Deleprop.Report.t
+  val to_json : stats -> Deleprop.Report.t
 end
 
 (** A solved round: the requests it answered, the ranked feasible
@@ -211,7 +178,7 @@ type plan = {
 
     [plan] (default [false]) routes rounds through the shatter-and-plan
     solver ({!Deleprop.Planner.solve}) instead of the flat portfolio:
-    the session's incrementally maintained component partition shatters
+    the session's incrementally maintained component index shatters
     each round into independent sub-instances, solved per-component
     (exact where small or forest-shaped) on the session pool.
 
@@ -277,7 +244,7 @@ type plan = {
 
     Planner rounds always run on the live {!Deleprop.Component_index}:
     active components enumerate off maintained per-component rosters in
-    O(‖ΔV‖ + active) instead of an O(‖D‖ + ‖V‖) partition sweep, and
+    O(‖ΔV‖ + active) instead of an O(‖D‖ + ‖V‖) label sweep, and
     split-aware cache reuse is armed — after a committed deletion splits
     a memoized component, surviving fragments whose candidate
     neighborhood the delete did not touch inherit the parent's cached
@@ -322,8 +289,8 @@ val delete : t -> Relational.Stuple.Set.t -> unit
 
 (** Insert a source tuple: views maintain incrementally and the
     provenance/arena index {e patches in place} — the gained view tuples
-    (and only those) splice into every layer, the partition merges the
-    components the new witnesses bridge ([Arena.partition_insert]), and
+    (and only those) splice into every layer, the component index merges
+    the components the new witnesses bridge ([Component_index.insert]), and
     [stats.inserts_patched] counts the tuple. Raises
     {!Relational.Relation.Key_violation} like the underlying instance
     and {!Deleprop.Provenance.Ambiguous_witness} when the insertion
@@ -344,8 +311,8 @@ val insert_all : t -> Relational.Stuple.Set.t -> unit
 val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
 
 (** Compact the live index now: drop tombstoned slots from the arena
-    and re-gather the partition ({!Deleprop.Arena.compact} /
-    {!Deleprop.Arena.compact_partition} — labels and clean bits
+    and re-gather the component index ({!Deleprop.Arena.compact} /
+    {!Deleprop.Component_index.compact} — labels and clean bits
     survive). No-op when the index has no tombstones. Counted in
     [stats.compactions]. The engine compacts on exactly four events:
     a commit that leaves more than half of the arena's slots dead,
@@ -369,8 +336,8 @@ val checkpoint : t -> unit
 
 val db : t -> Relational.Instance.t
 
-(** Current materialized view / manager (kept consistent by every
-    operation). *)
+(** Current materialized view / manager, read off the live provenance
+    index (kept consistent by every operation). *)
 val view : t -> string -> Relational.Tuple.Set.t
 
 val matview : t -> Deleprop.Matview.t
@@ -382,14 +349,15 @@ val matview : t -> Deleprop.Matview.t
     scratch build. *)
 val index : t -> Deleprop.Provenance.t * Deleprop.Arena.t
 
-(** The live index's component partition, maintained incrementally
-    across commits ([Arena.partition_delete] splits on deletes,
-    [Arena.partition_insert] merges on inserts) — bit-identical to
-    [Arena.partition (snd (index t))] (over a tombstoned arena that
-    partition labels live slots only; dead slots carry [-1]). *)
-val partition : t -> Deleprop.Arena.partition
+(** The live index's component labels, maintained incrementally across
+    commits ({!Deleprop.Component_index.delete} splits on deletes,
+    {!Deleprop.Component_index.insert} merges on inserts) —
+    bit-identical to the labels of [Component_index.build (snd (index
+    t))] (over a tombstoned arena the labels cover live slots only; dead
+    slots carry [-1]). *)
+val partition : t -> Deleprop.Component_index.partition
 
-(** The session's live component index — the partition above plus the
+(** The session's live component index — the labels above plus the
     per-component member rosters and solve memos
     ({!Deleprop.Component_index}), maintained through every commit.
     What the lockstep differential tests compare against

@@ -175,8 +175,19 @@ val rewrite : string -> record list -> unit
     segment, any generation. Missing files are fine. *)
 val remove : string -> unit
 
-(** {1 Checksums} *)
+(** {1 Checksums and framing}
+
+    Shared with {!Snapshot}, whose files use the same frame shape. *)
 
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]) of a whole string —
-    exposed for the resilience tests to forge corrupt records. *)
+    also used by the resilience tests to forge corrupt records. *)
 val crc32 : string -> int32
+
+(** [read_u32_le s pos] — the little-endian u32 at [pos] of [s]. *)
+val read_u32_le : string -> int -> int
+
+(** [frame payload] — u32 LE length, u32 LE CRC-32, then [payload]. *)
+val frame : string -> string
+
+(** The whole file at [path], read in binary mode. *)
+val read_file : string -> string

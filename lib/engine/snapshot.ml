@@ -66,26 +66,8 @@ let warning_label = function
   | Corrupt _ -> "corrupt"
   | Stale -> "stale"
 
-(* ---- framing (shared shape with the journal: u32 LE length, u32 LE
-   CRC-32, payload) ---- *)
-
-let u32_le n =
-  let b = Bytes.create 4 in
-  Bytes.set_uint8 b 0 (n land 0xFF);
-  Bytes.set_uint8 b 1 ((n lsr 8) land 0xFF);
-  Bytes.set_uint8 b 2 ((n lsr 16) land 0xFF);
-  Bytes.set_uint8 b 3 ((n lsr 24) land 0xFF);
-  Bytes.unsafe_to_string b
-
-let read_u32_le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-let frame payload =
-  let crc = Int32.to_int (Journal.crc32 payload) land 0xFFFFFFFF in
-  u32_le (String.length payload) ^ u32_le crc ^ payload
+(* Framing is the journal's own ([Journal.frame]: u32 LE length, u32 LE
+   CRC-32, payload). *)
 
 (* ---- payload codecs ----
 
@@ -632,23 +614,17 @@ let fold_delta (t : t) (d : delta) =
 
 let encode t =
   String.concat ""
-    ((magic :: frame (header_payload t)
+    ((magic :: Journal.frame (header_payload t)
      :: (match t.baseline with
         | None -> []
-        | Some b -> [ frame (baseline_payload b) ]))
-    @ List.map (fun e -> frame (entry_payload e)) t.entries)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+        | Some b -> [ Journal.frame (baseline_payload b) ]))
+    @ List.map (fun e -> Journal.frame (entry_payload e)) t.entries)
 
 (* corruption injection ("snapshot.corrupt"): flip one bit of the
    committed snapshot in place — the damage a load must degrade on, not
    crash on *)
 let flip_bit path n =
-  let data = read_file path in
+  let data = Journal.read_file path in
   let size = String.length data in
   if size > 0 then begin
     let i = ((n mod size) + size) mod size in
@@ -704,7 +680,7 @@ let write path t =
 let load path =
   if not (Sys.file_exists path) then Error Missing
   else
-    match read_file path with
+    match Journal.read_file path with
     | exception Sys_error msg -> Error (Corrupt msg)
     | data ->
       let len = String.length data in
@@ -716,10 +692,10 @@ let load path =
         let next_frame pos =
           if len - pos < 8 then None
           else
-            let plen = read_u32_le data pos in
+            let plen = Journal.read_u32_le data pos in
             if plen < 0 || len - pos - 8 < plen then None
             else
-              let crc = read_u32_le data (pos + 4) in
+              let crc = Journal.read_u32_le data (pos + 4) in
               let payload = String.sub data (pos + 8) plen in
               if Int32.to_int (Journal.crc32 payload) land 0xFFFFFFFF <> crc
               then Some (Error "checksum mismatch", pos + 8 + plen)
@@ -813,8 +789,8 @@ let load path =
 let append ?(fsync = false) path (d : delta) =
   let data =
     String.concat ""
-      (frame (delta_payload d)
-      :: List.map (fun e -> frame (entry_payload e)) d.d_upserts)
+      (Journal.frame (delta_payload d)
+      :: List.map (fun e -> Journal.frame (entry_payload e)) d.d_upserts)
   in
   let write_k k =
     let oc =

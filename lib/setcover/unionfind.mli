@@ -1,11 +1,11 @@
 (** Union-find over dense integer ids, with union-by-min and path
     compression: the root of a class is always its {e smallest} member.
 
-    That invariant is what the canonical component numberings in
-    {!Decompose.shatter} and [Arena.partition] rely on — scanning ids in
-    ascending order visits each root before any other member of its
-    class, so "first appearance" labeling needs no second pass and two
-    membership-equal partitions come out structurally equal. *)
+    That invariant is what the canonical component labels of
+    [Component_index] rely on — scanning ids in ascending order visits
+    each root before any other member of its class, so "first
+    appearance" labeling needs no second pass and two membership-equal
+    partitions come out structurally equal. *)
 
 type t = int array
 

@@ -1,15 +1,20 @@
-(* The partition-array shard enumeration, moved verbatim from
+(* The label-array shard enumeration, moved verbatim from
    lib/core/arena.ml: [Component_index.active] must return the same
-   proto-shards, bit for bit, off its maintained rosters. *)
+   proto-shards, bit for bit, off its maintained rosters. Without
+   [~partition], the labels come from a scratch [Component_index.build]. *)
 
 open Deleprop
 open Arena
 module Bitset = Setcover.Bitset
 
 let active_components ?partition:part (a : t) =
-  let p = match part with Some p -> p | None -> partition a in
+  let p : Component_index.partition =
+    match part with
+    | Some p -> p
+    | None -> Component_index.partition (Component_index.build a)
+  in
   (* only components with a bad view tuple need solving *)
-  let active = Array.make p.num_components false in
+  let active = Array.make p.Component_index.num_components false in
   Bitset.iter (fun vid -> active.(p.comp_of_vid.(vid)) <- true) a.bad;
   let sids_of = Array.make p.num_components [] in
   for sid = num_stuples a - 1 downto 0 do

@@ -19,16 +19,16 @@ let check_solutions_equal = Test_engine.check_solutions_equal
 
 let check_index_matches tag cindex (arena : D.Arena.t) =
   let p = D.Component_index.partition cindex in
-  let ps = D.Arena.partition arena in
+  let scratch = D.Component_index.build arena in
+  let ps = D.Component_index.partition scratch in
   Alcotest.(check int)
     (tag ^ ": num_components")
-    ps.D.Arena.num_components p.D.Arena.num_components;
+    ps.D.Component_index.num_components p.D.Component_index.num_components;
   Alcotest.(check bool) (tag ^ ": comp_of_sid ≡ scratch") true
-    (p.D.Arena.comp_of_sid = ps.D.Arena.comp_of_sid);
+    (p.D.Component_index.comp_of_sid = ps.D.Component_index.comp_of_sid);
   Alcotest.(check bool) (tag ^ ": comp_of_vid ≡ scratch") true
-    (p.D.Arena.comp_of_vid = ps.D.Arena.comp_of_vid);
-  let scratch = D.Component_index.of_partition ps in
-  for c = 0 to p.D.Arena.num_components - 1 do
+    (p.D.Component_index.comp_of_vid = ps.D.Component_index.comp_of_vid);
+  for c = 0 to p.D.Component_index.num_components - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "%s: sids_of %d ≡ scratch" tag c)
       true
@@ -209,15 +209,16 @@ let test_fragment_reuse_bitidentical () =
     (round "warm"
        (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
   Alcotest.(check int) "two components" 2
-    (Engine.partition eng).D.Arena.num_components;
+    (D.Component_index.num_components (Engine.component_index eng));
   (* split the ICDE chain: Ann's fragment inherits the cached answer and
      starts clean; Cal's fragment, which held no memoized ΔV, is dirty *)
   del eng "T4" [ "ICDE"; "Rome" ];
   del fresh "T4" [ "ICDE"; "Rome" ];
   let clean_of rel vs =
     let _, arena = Engine.index eng in
-    D.Component_index.clean (Engine.component_index eng)
-      (Engine.partition eng).D.Arena.comp_of_sid.(D.Arena.stuple_id arena (st rel vs))
+    let cindex = Engine.component_index eng in
+    D.Component_index.clean cindex
+      (D.Component_index.comp_of_sid cindex (D.Arena.stuple_id arena (st rel vs)))
   in
   Alcotest.(check bool) "seeded fragment clean" true (clean_of "T1" [ "Ann"; "J1" ]);
   Alcotest.(check bool) "unseeded fragment dirty" false (clean_of "T1" [ "Cal"; "J3" ]);
@@ -289,6 +290,50 @@ let test_reuse_counter_durable () =
   Alcotest.(check int) "restored reuse counter" 7
     (D.Planner.cache_fragment_reuses c')
 
+(* the merge path: an insert that cannot resurrect a dead slot makes
+   [Arena.extend] merge sorted runs, and the index rebuilds from scratch.
+   After a compaction no slot is dead, so a genuinely new tuple always
+   takes it. The rebuilt index must equal [Component_index.build] on
+   labels and rosters, carry the clean bit of the component the insert
+   did not touch, dirty the one it joined, and drop every memo (ids
+   moved). *)
+let test_merge_path_insert () =
+  let eng = Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ()) in
+  ignore
+    (request_exn "warm" eng (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
+  (* leave tombstones behind, answer both components again, then gather *)
+  del eng "T1" [ "Dan"; "J4" ];
+  ignore
+    (request_exn "rewarm" eng (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
+  Alcotest.(check bool) "tombstoned before compact" true
+    (D.Arena.tombstoned (snd (Engine.index eng)));
+  Engine.compact eng;
+  let _, before = Engine.index eng in
+  let cindex = Engine.component_index eng in
+  for c = 0 to D.Component_index.num_components cindex - 1 do
+    Alcotest.(check bool) (Printf.sprintf "component %d clean before" c) true
+      (D.Component_index.clean cindex c)
+  done;
+  (* a new author on journal J1 joins the ICDE chain only *)
+  Engine.insert eng (st "T1" [ "Eve"; "J1" ]);
+  let _, arena = Engine.index eng in
+  Alcotest.(check bool) "merge path taken" false
+    (before.D.Arena.stuples == arena.D.Arena.stuples);
+  let cindex = Engine.component_index eng in
+  check_index_matches "merge path" cindex arena;
+  let clean_of rel vs =
+    D.Component_index.clean cindex
+      (D.Component_index.comp_of_sid cindex (D.Arena.stuple_id arena (st rel vs)))
+  in
+  Alcotest.(check bool) "untouched component stays clean" true
+    (clean_of "T1" [ "Bob"; "J2" ]);
+  Alcotest.(check bool) "joined component dirty" false (clean_of "T1" [ "Ann"; "J1" ]);
+  for c = 0 to D.Component_index.num_components cindex - 1 do
+    Alcotest.(check bool) (Printf.sprintf "component %d memo dropped" c) true
+      (D.Component_index.memo cindex c = None)
+  done;
+  Engine.close eng
+
 (* ---- the clean-bit contract ----
 
    After every commit, a component is clean iff its live stuple set
@@ -303,12 +348,12 @@ let test_reuse_counter_durable () =
    swept their slots) take the merge path. *)
 
 let live_sets (arena : D.Arena.t) =
-  let p = D.Arena.partition arena in
-  let sets = Array.make p.D.Arena.num_components R.Stuple.Set.empty in
+  let p = D.Component_index.partition (D.Component_index.build arena) in
+  let sets = Array.make p.D.Component_index.num_components R.Stuple.Set.empty in
   Array.iteri
     (fun sid c ->
       if c >= 0 then sets.(c) <- R.Stuple.Set.add arena.D.Arena.stuples.(sid) sets.(c))
-    p.D.Arena.comp_of_sid;
+    p.D.Component_index.comp_of_sid;
   sets
 
 let clean_sets eng =
@@ -456,4 +501,6 @@ let suite =
       test_fragment_guard;
     Alcotest.test_case "split: reuse counter survives restore" `Quick
       test_reuse_counter_durable;
+    Alcotest.test_case "merge-path insert: rebuilt index carries clean bits"
+      `Quick test_merge_path_insert;
   ]

@@ -1,7 +1,6 @@
-(* Shatter-and-plan: the set-cover decomposition, the arena's component
-   partition (scratch and incrementally maintained), honest shard
-   arenas, planner differentials against the whole-instance portfolio,
-   and the engine's planner sessions. *)
+(* Shatter-and-plan: the component labels (scratch and incrementally
+   maintained), honest shard arenas, planner differentials against the
+   whole-instance portfolio, and the engine's planner sessions. *)
 
 open Util
 module R = Relational
@@ -43,110 +42,32 @@ let random_prov seed =
   in
   D.Provenance.build p
 
-(* ---- red-blue set cover decomposition ---- *)
+(* ---- component labels ---- *)
 
-let random_rb rng =
-  Workload.Rbsc_gen.red_blue ~rng
-    ~num_red:(3 + Random.State.int rng 5)
-    ~num_blue:(3 + Random.State.int rng 5)
-    ~num_sets:(2 + Random.State.int rng 6)
-    ~red_density:0.3 ~blue_density:0.3
+let partition_equal (a : D.Component_index.partition)
+    (b : D.Component_index.partition) =
+  a.D.Component_index.num_components = b.D.Component_index.num_components
+  && a.D.Component_index.comp_of_sid = b.D.Component_index.comp_of_sid
+  && a.D.Component_index.comp_of_vid = b.D.Component_index.comp_of_vid
 
-let check_rb_shatter (t : SC.Red_blue.t) =
-  let shards = SC.Decompose.shatter t in
-  let set_seen = Array.make (SC.Red_blue.num_sets t) 0 in
-  let red_seen = Array.make (SC.Red_blue.num_red t) 0 in
-  let blue_seen = Array.make t.SC.Red_blue.num_blue 0 in
-  Array.iter
-    (fun (sh : SC.Decompose.shard) ->
-      Array.iter (fun s -> set_seen.(s) <- set_seen.(s) + 1) sh.SC.Decompose.sets;
-      Array.iter (fun r -> red_seen.(r) <- red_seen.(r) + 1) sh.SC.Decompose.reds;
-      Array.iter (fun b -> blue_seen.(b) <- blue_seen.(b) + 1) sh.SC.Decompose.blues;
-      (* the shard instance's sets are the global sets, remapped *)
-      Array.iteri
-        (fun l g ->
-          let local = sh.SC.Decompose.instance.SC.Red_blue.sets.(l) in
-          let back f = SC.Iset.map (fun i -> f i) in
-          Alcotest.(check bool) "set red remap" true
-            (SC.Iset.equal
-               (back (fun i -> sh.SC.Decompose.reds.(i)) local.SC.Red_blue.red)
-               t.SC.Red_blue.sets.(g).SC.Red_blue.red);
-          Alcotest.(check bool) "set blue remap" true
-            (SC.Iset.equal
-               (back (fun i -> sh.SC.Decompose.blues.(i)) local.SC.Red_blue.blue)
-               t.SC.Red_blue.sets.(g).SC.Red_blue.blue))
-        sh.SC.Decompose.sets)
-    shards;
-  Array.iter (fun n -> Alcotest.(check int) "each set in one shard" 1 n) set_seen;
-  Array.iter (fun n -> Alcotest.(check int) "each blue in one shard" 1 n) blue_seen;
-  (* reds may be untouched by every set; those appear in no shard *)
-  Array.iter
-    (fun n -> Alcotest.(check bool) "red in at most one shard" true (n <= 1))
-    red_seen;
-  (* connectivity: sets sharing an element land in the same shard *)
-  let shard_of_set = Array.make (SC.Red_blue.num_sets t) (-1) in
-  Array.iteri
-    (fun i (sh : SC.Decompose.shard) ->
-      Array.iter (fun s -> shard_of_set.(s) <- i) sh.SC.Decompose.sets)
-    shards;
-  Array.iteri
-    (fun i si ->
-      Array.iteri
-        (fun j sj ->
-          if i < j
-             && (not
-                   (SC.Iset.disjoint si.SC.Red_blue.red sj.SC.Red_blue.red
-                   && SC.Iset.disjoint si.SC.Red_blue.blue sj.SC.Red_blue.blue))
-          then
-            Alcotest.(check int) "sharing sets same shard" shard_of_set.(i)
-              shard_of_set.(j))
-        t.SC.Red_blue.sets)
-    t.SC.Red_blue.sets
+(* the scratch labelling *)
+let scratch_labels a = D.Component_index.partition (D.Component_index.build a)
 
-let prop_rb_shatter =
-  qcheck ~count:100 "setcover: shatter partitions the instance" seeds (fun seed ->
-      check_rb_shatter (random_rb (rng seed));
-      true)
-
-let prop_rb_exact =
-  qcheck ~count:100 "setcover: decomposed exact = direct exact" seeds (fun seed ->
-      let t = random_rb (rng seed) in
-      let direct = SC.Red_blue.solve_exact t in
-      let dec = SC.Decompose.solve ~solver:(fun i -> SC.Red_blue.solve_exact i) t in
-      match (direct, dec) with
-      | None, None -> true
-      | Some a, Some b -> feq a.SC.Red_blue.cost b.SC.Red_blue.cost
-      | _ -> false)
-
-let prop_rb_approx =
-  qcheck ~count:100 "setcover: decomposed approx stays feasible" seeds
-    (fun seed ->
-      let t = random_rb (rng seed) in
-      match SC.Decompose.solve ~solver:(fun i -> SC.Red_blue.solve_approx i) t with
-      | None -> not (SC.Red_blue.coverable t)
-      | Some s -> SC.Red_blue.is_feasible t s.SC.Red_blue.chosen)
-
-(* ---- arena partition ---- *)
-
-let partition_equal (a : D.Arena.partition) (b : D.Arena.partition) =
-  a.D.Arena.num_components = b.D.Arena.num_components
-  && a.D.Arena.comp_of_sid = b.D.Arena.comp_of_sid
-  && a.D.Arena.comp_of_vid = b.D.Arena.comp_of_vid
-
-let check_partition_invariants (a : D.Arena.t) (p : D.Arena.partition) =
+let check_partition_invariants (a : D.Arena.t) (p : D.Component_index.partition) =
   (* witness rows are monochromatic and name the view tuple's component *)
   Array.iteri
     (fun vid row ->
       if Array.length row = 0 then
-        Alcotest.(check int) "empty witness comp" (-1) p.D.Arena.comp_of_vid.(vid)
+        Alcotest.(check int) "empty witness comp" (-1)
+          p.D.Component_index.comp_of_vid.(vid)
       else begin
-        let c = p.D.Arena.comp_of_sid.(row.(0)) in
+        let c = p.D.Component_index.comp_of_sid.(row.(0)) in
         Array.iter
           (fun sid ->
             Alcotest.(check int) "witness monochromatic" c
-              p.D.Arena.comp_of_sid.(sid))
+              p.D.Component_index.comp_of_sid.(sid))
           row;
-        Alcotest.(check int) "comp_of_vid" c p.D.Arena.comp_of_vid.(vid)
+        Alcotest.(check int) "comp_of_vid" c p.D.Component_index.comp_of_vid.(vid)
       end)
     a.D.Arena.witness;
   (* canonical numbering: component ids appear for the first time in
@@ -156,13 +77,13 @@ let check_partition_invariants (a : D.Arena.t) (p : D.Arena.partition) =
     (fun c ->
       if c = !next then incr next
       else Alcotest.(check bool) "canonical labels" true (c >= 0 && c < !next))
-    p.D.Arena.comp_of_sid;
-  Alcotest.(check int) "num_components" !next p.D.Arena.num_components
+    p.D.Component_index.comp_of_sid;
+  Alcotest.(check int) "num_components" !next p.D.Component_index.num_components
 
 let check_partition_family family seed =
   let prov = family seed in
   let a = D.Arena.build prov in
-  check_partition_invariants a (D.Arena.partition a);
+  check_partition_invariants a (scratch_labels a);
   true
 
 let prop_partition_forest =
@@ -191,63 +112,66 @@ let random_live_dd rng (a : D.Arena.t) =
          (fun _ -> a.D.Arena.stuples.(live.(Random.State.int rng n)))
       |> R.Stuple.Set.of_list)
 
-(* random deletion streams: the patched partition must be bit-identical
-   to the scratch one after every commit. Deletes tombstone
-   ([Arena.delete] never moves slots), so the stream exercises iterated
-   tombstoning: targets are drawn from the live slots, the patched
-   partition compares against a scratch partition of the tombstoned
-   arena, and the structural invariants are checked on the compacted
-   form (where every slot is live again) — [compact_partition] must
-   carry the patched labels over unchanged, while handing the compacted
-   arena itself to [partition_delete] must raise. *)
+(* random deletion streams: the labels [Component_index.delete] patches
+   must be bit-identical to a scratch [Component_index.build] after every
+   commit. Deletes tombstone ([Arena.delete] never moves slots), so the
+   stream exercises iterated tombstoning: targets are drawn from the
+   live slots, the patched labels compare against a scratch build of
+   the tombstoned arena, and the structural invariants are checked on
+   the compacted form (where every slot is live again) —
+   [Component_index.compact] must carry the patched labels over
+   unchanged, while handing the compacted arena itself to
+   [Component_index.delete] must raise. *)
 let check_partition_stream family seed =
   let rng = rng (seed + 7919) in
   let prov = ref (family seed) in
   let arena = ref (D.Arena.build !prov) in
-  let part = ref (D.Arena.partition !arena) in
+  let index = ref (D.Component_index.build !arena) in
   for _ = 1 to 6 do
     match random_live_dd rng !arena with
     | None -> ()
     | Some dd ->
       let prov' = D.Provenance.delete !prov dd in
       let arena' = D.Arena.delete !arena ~dd prov' in
-      let part' = D.Arena.partition_delete !part ~before:!arena ~dd arena' in
+      let index' = D.Component_index.delete !index ~before:!arena ~dd arena' in
       Alcotest.(check bool) "patched partition = scratch" true
-        (partition_equal part' (D.Arena.partition arena'));
+        (partition_equal (D.Component_index.partition index') (scratch_labels arena'));
       let compacted = D.Arena.compact arena' in
       Alcotest.check_raises "compacted a' rejected"
         (Invalid_argument
-           "Arena.partition_delete: arena not from Arena.delete before")
+           "Component_index.delete: arena not from Arena.delete before")
         (fun () ->
           ignore
-            (D.Arena.partition_delete !part ~before:!arena ~dd compacted));
-      let cpart = D.Arena.compact_partition ~before:arena' part' in
+            (D.Component_index.delete !index ~before:!arena ~dd compacted));
+      let cpart =
+        D.Component_index.partition (D.Component_index.compact index' ~before:arena')
+      in
       check_partition_invariants compacted cpart;
       Alcotest.(check bool) "compacted partition = scratch of compacted" true
-        (partition_equal cpart (D.Arena.partition compacted));
+        (partition_equal cpart (scratch_labels compacted));
       prov := prov';
       arena := arena';
-      part := part'
+      index := index'
   done;
   true
 
 let prop_partition_stream_forest =
-  qcheck ~count:25 "arena: partition_delete = scratch (forest)" seeds
+  qcheck ~count:25 "component index: delete = scratch (forest)" seeds
     (check_partition_stream forest_prov)
 
 let prop_partition_stream_pivot =
-  qcheck ~count:25 "arena: partition_delete = scratch (pivot)" seeds
+  qcheck ~count:25 "component index: delete = scratch (pivot)" seeds
     (check_partition_stream (pivot_prov ?num_roots:None ?tuples_per_relation:None))
 
 let prop_partition_stream_random =
-  qcheck ~count:25 "arena: partition_delete = scratch (random)" seeds
+  qcheck ~count:25 "component index: delete = scratch (random)" seeds
     (check_partition_stream random_prov)
 
 (* ---- shard honesty ---- *)
 
 let check_shatter prov =
   let a = D.Arena.build prov in
-  let part = D.Arena.partition a in
+  let part = scratch_labels a in
   let shards = Reference.Arena_reference.shatter ~partition:part a in
   let bad_total = ref 0 in
   Array.iter
@@ -267,7 +191,7 @@ let check_shatter prov =
           Alcotest.check stuple "stuple map" a.D.Arena.stuples.(sid)
             sa.D.Arena.stuples.(k);
           Alcotest.(check int) "sid in component" sh.D.Arena.component
-            part.D.Arena.comp_of_sid.(sid))
+            part.D.Component_index.comp_of_sid.(sid))
         sh.D.Arena.global_sids;
       Array.iteri
         (fun k vid ->
@@ -472,7 +396,7 @@ let check_recognizer_fragments family seed =
       in
       Alcotest.(check bool) "live views recognized = applicable"
         (D.Dp_tree.applicable prov') (recognized arena' live_vids);
-      let nc = (D.Component_index.partition index').D.Arena.num_components in
+      let nc = D.Component_index.num_components index' in
       for f = 0 to nc - 1 do
         let f_vids = D.Component_index.vids_of index' f in
         if Array.length f_vids > 0 then begin
@@ -678,9 +602,9 @@ let check_engine_partition seed =
   let check tag =
     let _, arena = Engine.index eng in
     Alcotest.(check bool) (tag ^ ": partition = scratch") true
-      (partition_equal (Engine.partition eng) (D.Arena.partition arena));
+      (partition_equal (Engine.partition eng) (scratch_labels arena));
     Alcotest.(check int) (tag ^ ": components stat")
-      (Engine.partition eng).D.Arena.num_components
+      (Engine.partition eng).D.Component_index.num_components
       (Engine.stats eng).Engine.components
   in
   check "initial";
@@ -771,9 +695,6 @@ let prop_engine_plan_session =
 
 let suite =
   [
-    prop_rb_shatter;
-    prop_rb_exact;
-    prop_rb_approx;
     prop_partition_forest;
     prop_partition_random;
     prop_partition_stream_forest;

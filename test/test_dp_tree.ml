@@ -163,7 +163,7 @@ let check_roster (a : D.Arena.t) index =
     |> List.filter (fun v -> not (B.mem a.D.Arena.dead_v v))
     |> Array.of_list
   in
-  let nc = (D.Component_index.partition index).D.Arena.num_components in
+  let nc = D.Component_index.num_components index in
   let roster f = D.Component_index.vids_of index f in
   same_verdict a live
   && List.for_all (fun f -> same_verdict a (roster f)) (List.init nc Fun.id)

@@ -407,13 +407,18 @@ let prop_stream =
 
 (* ---- mixed delta streams: symmetric updates through [apply_delta] ---- *)
 
-let check_partition_equal tag (e : D.Arena.partition) (s : D.Arena.partition) =
-  Alcotest.(check int) (tag ^ ": num_components") s.D.Arena.num_components
-    e.D.Arena.num_components;
+let check_partition_equal tag (e : D.Component_index.partition)
+    (s : D.Component_index.partition) =
+  Alcotest.(check int) (tag ^ ": num_components")
+    s.D.Component_index.num_components e.D.Component_index.num_components;
   Alcotest.(check bool) (tag ^ ": comp_of_sid identical") true
-    (e.D.Arena.comp_of_sid = s.D.Arena.comp_of_sid);
+    (e.D.Component_index.comp_of_sid = s.D.Component_index.comp_of_sid);
   Alcotest.(check bool) (tag ^ ": comp_of_vid identical") true
-    (e.D.Arena.comp_of_vid = s.D.Arena.comp_of_vid)
+    (e.D.Component_index.comp_of_vid = s.D.Component_index.comp_of_vid)
+
+(* the labels of a scratch [Component_index.build] *)
+let scratch_labels arena =
+  D.Component_index.partition (D.Component_index.build arena)
 
 (* Ten rounds of interleaved deletes + re-inserts committed as ONE
    symmetric [Engine.apply_delta] transition each (solve + apply every
@@ -441,12 +446,13 @@ let check_mixed_stream ?(scale = 6) ~plan seed =
     let prov_s, arena_s = scratch_index queries (Engine.db eng) in
     check_prov_equal tag prov_e prov_s;
     (* the live arena may carry tombstones; its compacted form must be
-       bit-identical to a scratch build, and the maintained partition
-       must carry its labels through compaction unchanged *)
+       bit-identical to a scratch build, and the maintained labels must
+       carry through compaction unchanged *)
     check_arena_equal tag (D.Arena.compact arena_e) arena_s;
     check_partition_equal tag
-      (D.Arena.compact_partition ~before:arena_e (Engine.partition eng))
-      (D.Arena.partition arena_s);
+      (D.Component_index.partition
+         (D.Component_index.compact (Engine.component_index eng) ~before:arena_e))
+      (scratch_labels arena_s);
     List.iter
       (fun (q : Cq.Query.t) ->
         Alcotest.check Util.tuple_set (tag ^ ": view " ^ q.name)

@@ -360,6 +360,30 @@ let test_journal_crc32 () =
   Alcotest.(check bool) "IEEE check value" true
     (Engine.Journal.crc32 "123456789" = 0xCBF43926l)
 
+(* the frame shape journal and snapshot files share: u32 LE length, u32
+   LE CRC-32, payload; read back unsigned, and files read byte-exact *)
+let test_journal_frame () =
+  let f = Engine.Journal.frame "abc" in
+  Alcotest.(check int) "frame length" (8 + 3) (String.length f);
+  Alcotest.(check int) "length field" 3 (Engine.Journal.read_u32_le f 0);
+  Alcotest.(check int) "crc field"
+    (Int32.to_int (Engine.Journal.crc32 "abc") land 0xFFFFFFFF)
+    (Engine.Journal.read_u32_le f 4);
+  Alcotest.(check string) "payload" "abc" (String.sub f 8 3);
+  Alcotest.(check string) "empty payload" "\000\000\000\000\000\000\000\000"
+    (Engine.Journal.frame "");
+  Alcotest.(check int) "little-endian" 0x04030201
+    (Engine.Journal.read_u32_le "\001\002\003\004" 0);
+  Alcotest.(check int) "unsigned" 0xFFFFFFFF
+    (Engine.Journal.read_u32_le "x\255\255\255\255" 1);
+  with_temp_journal (fun path ->
+      let bytes = f ^ "\r\n\000\026" ^ Engine.Journal.frame "\n" in
+      let oc = open_out_bin path in
+      output_string oc bytes;
+      close_out oc;
+      Alcotest.(check string) "read_file is byte-exact" bytes
+        (Engine.Journal.read_file path))
+
 let test_journal_bad_magic () =
   with_temp_journal (fun path ->
       let oc = open_out_bin path in
@@ -952,6 +976,7 @@ let suite =
     Alcotest.test_case "lowdeg: budgeted sweep" `Quick test_lowdeg_budget;
     Alcotest.test_case "journal: round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal: CRC-32 check value" `Quick test_journal_crc32;
+    Alcotest.test_case "journal: frame layout" `Quick test_journal_frame;
     Alcotest.test_case "journal: bad magic" `Quick test_journal_bad_magic;
     Alcotest.test_case "journal: torn final record" `Quick test_journal_torn_final;
     Alcotest.test_case "journal: interior corruption" `Quick

@@ -65,6 +65,61 @@ let prop_compact_random =
   qcheck ~count:50 "arena: compact (delete) = scratch build (random)" seeds
     (check_compact_idempotent Test_decompose.random_prov)
 
+(* ---- Arena.extend's merge path: scratch equivalence ---- *)
+
+(* A tuple the arena never held has no dead slot to resurrect, so
+   [Arena.extend] merges sorted runs — compacting first when the arena
+   carries tombstones. The result goes through the same assembly step as
+   [build], so it must be bit-identical to a scratch build of the
+   extended index, depth memo included. *)
+let check_extend_merge family seed =
+  let prov = family seed in
+  let all = (D.Arena.build prov).D.Arena.stuples in
+  let n = Array.length all in
+  if n > 1 then begin
+    let rng = rng (seed + 29) in
+    let i = Random.State.int rng n in
+    let j = (i + 1 + Random.State.int rng (n - 1)) mod n in
+    let ins = R.Stuple.Set.singleton all.(i) in
+    let prov0 = D.Provenance.delete prov ins in
+    let a0 = D.Arena.build prov0 in
+    let a0, prov0 =
+      if Random.State.bool rng then begin
+        let gone = R.Stuple.Set.singleton all.(j) in
+        let p = D.Provenance.delete prov0 gone in
+        (D.Arena.delete a0 ~dd:gone p, p)
+      end
+      else (a0, prov0)
+    in
+    let prov1 = D.Provenance.insert prov0 all.(i) in
+    Alcotest.(check bool) "no slot to resurrect" true
+      (Option.is_none (D.Arena.resurrect a0 ~ins prov1));
+    let a1 = D.Arena.extend a0 ~ins prov1 in
+    Alcotest.(check bool) "merge path moves ids" false
+      (a1.D.Arena.stuples == a0.D.Arena.stuples);
+    Alcotest.(check bool) "merged arena not tombstoned" false (D.Arena.tombstoned a1);
+    Alcotest.(check int) "merged generation" 0 a1.D.Arena.generation;
+    let s = D.Arena.build prov1 in
+    Test_engine.check_arena_equal
+      (Printf.sprintf "seed %d: extend (merge) = scratch" seed)
+      a1 s;
+    Alcotest.(check bool) "depth memo = scratch" true
+      (a1.D.Arena.depths = s.D.Arena.depths)
+  end;
+  true
+
+let prop_extend_merge_forest =
+  qcheck ~count:50 "arena: extend (merge) = scratch build (forest)" seeds
+    (check_extend_merge Test_decompose.forest_prov)
+
+let prop_extend_merge_pivot =
+  qcheck ~count:50 "arena: extend (merge) = scratch build (pivot)" seeds
+    (check_extend_merge (fun seed -> Test_decompose.pivot_prov seed))
+
+let prop_extend_merge_random =
+  qcheck ~count:50 "arena: extend (merge) = scratch build (random)" seeds
+    (check_extend_merge Test_decompose.random_prov)
+
 (* ---- lockstep differential: lazy tombstones ≡ compact every commit ---- *)
 
 (* Two default sessions over the same database consume the same mixed
@@ -113,7 +168,9 @@ let check_lazy_stream ~plan seed =
     Test_engine.check_arena_equal (tag ^ ": compact lazy = eager")
       (D.Arena.compact arena_l) arena_e;
     Test_engine.check_partition_equal (tag ^ ": partition labels")
-      (D.Arena.compact_partition ~before:arena_l (Engine.partition eng_l))
+      (D.Component_index.partition
+         (D.Component_index.compact (Engine.component_index eng_l)
+            ~before:arena_l))
       (Engine.partition eng_e);
     List.iter
       (fun (q : Cq.Query.t) ->
@@ -512,6 +569,9 @@ let suite =
   [
     prop_compact_forest;
     prop_compact_random;
+    prop_extend_merge_forest;
+    prop_extend_merge_pivot;
+    prop_extend_merge_random;
     prop_lazy_stream_flat;
     prop_lazy_stream_planner;
     Alcotest.test_case "engine: recovery mid-tombstone" `Quick
