@@ -31,4 +31,5 @@ let () =
       ("compindex", Test_compindex.suite);
       ("splice", Test_decomp_splice.suite);
       ("dptree", Test_dp_tree.suite);
+      ("golden", Test_golden.suite);
     ]
