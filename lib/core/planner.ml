@@ -74,77 +74,64 @@ type cache_entry = {
       (* seeded by [seed_fragments] (a restriction of a solved parent
          entry onto a surviving fragment) rather than solved directly —
          splicing such an entry counts as a fragment reuse *)
-  e_decomposition : Decomposition.t option;
+  e_decomposition : Decomposition.t;
       (* the winner's per-sub-structure decomposition, recorded at solve
          time — what [seed_fragments] projects onto a surviving fragment
-         for the forest and approximate tiers. [None] on entries loaded
-         from v2 snapshots (and on nothing else): such entries still
-         splice normally but are ineligible for forest/approximate
-         fragment seeding. *)
+         for the forest and approximate tiers *)
 }
+
+(* The lifetime counters, one mutable block the cache owns: a splice
+   bumps it in place, and the snapshot hooks below copy it out and back
+   in whole. *)
+type cache_stats = {
+  mutable s_hits : int;
+  mutable s_misses : int;
+  mutable s_evictions : int;
+      (* approximate-tier entries dropped by proactive bucket eviction *)
+  mutable s_last_bucket : int option;
+      (* the parent √‖V‖ threshold bucket the cache last solved under —
+         a drift triggers the eviction sweep *)
+  mutable s_fragment_reuses_exact : int;
+  mutable s_fragment_reuses_forest : int;
+  mutable s_fragment_reuses_approx : int;
+      (* spliced entries that were seeded by fragment restriction rather
+         than solved, by the seeded entry's tier — the payoff counters
+         for split-aware reuse *)
+}
+
+let fragment_reuses s =
+  s.s_fragment_reuses_exact + s.s_fragment_reuses_forest
+  + s.s_fragment_reuses_approx
 
 type cache = {
   lru : (Fingerprint.t, cache_entry) Setcover.Lru.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-      (* approximate-tier entries dropped by proactive bucket eviction *)
-  mutable last_bucket : int option;
-      (* the parent √‖V‖ threshold bucket the cache last solved under —
-         a drift triggers the eviction sweep *)
-  mutable fragment_reuses : int;
-      (* spliced entries that were seeded by fragment restriction rather
-         than solved — the payoff counter for split-aware reuse *)
-  mutable fragment_reuses_exact : int;
-  mutable fragment_reuses_forest : int;
-  mutable fragment_reuses_approx : int;
-      (* [fragment_reuses] split by the seeded entry's tier *)
+  mutable counters : cache_stats;
 }
 
 let create_cache ?(capacity = 512) () =
-  { lru = Setcover.Lru.create ~capacity; hits = 0; misses = 0; evictions = 0;
-    last_bucket = None; fragment_reuses = 0; fragment_reuses_exact = 0;
-    fragment_reuses_forest = 0; fragment_reuses_approx = 0 }
+  { lru = Setcover.Lru.create ~capacity;
+    counters =
+      { s_hits = 0; s_misses = 0; s_evictions = 0; s_last_bucket = None;
+        s_fragment_reuses_exact = 0; s_fragment_reuses_forest = 0;
+        s_fragment_reuses_approx = 0 } }
 
 let cache_length c = Setcover.Lru.length c.lru
-let cache_hits c = c.hits
-let cache_misses c = c.misses
-let cache_evictions c = c.evictions
-let cache_fragment_reuses c = c.fragment_reuses
-let cache_fragment_reuses_exact c = c.fragment_reuses_exact
-let cache_fragment_reuses_forest c = c.fragment_reuses_forest
-let cache_fragment_reuses_approx c = c.fragment_reuses_approx
 
 let cache_clear c =
   Setcover.Lru.clear c.lru;
-  c.last_bucket <- None
+  c.counters.s_last_bucket <- None
 
 (* ---- snapshot hooks (crash-consistent warm recovery) ----
 
    A cache's observable state is plain data: the (fingerprint, entry)
-   bindings in recency order plus the four counters. The engine's
+   bindings in recency order plus the counter block. The engine's
    snapshot codec serializes exactly this pair and a recovered session
    restores it, so a re-warmed cache is bit-identical to the live one it
    was written from — including future eviction order and the lifetime
    hit counters the stats report. *)
 
-type cache_stats = {
-  s_hits : int;
-  s_misses : int;
-  s_evictions : int;
-  s_last_bucket : int option;
-  s_fragment_reuses : int;
-  s_fragment_reuses_exact : int;
-  s_fragment_reuses_forest : int;
-  s_fragment_reuses_approx : int;
-}
-
-let cache_stats c =
-  { s_hits = c.hits; s_misses = c.misses; s_evictions = c.evictions;
-    s_last_bucket = c.last_bucket; s_fragment_reuses = c.fragment_reuses;
-    s_fragment_reuses_exact = c.fragment_reuses_exact;
-    s_fragment_reuses_forest = c.fragment_reuses_forest;
-    s_fragment_reuses_approx = c.fragment_reuses_approx }
+let copy_stats s = { s with s_hits = s.s_hits }
+let cache_stats c = copy_stats c.counters
 
 (* most-recently-used first ([Lru.fold] visits MRU first and cons
    reverses, so rev restores visit order) *)
@@ -158,17 +145,7 @@ let cache_entries c =
 let cache_restore ?stats c entries =
   Setcover.Lru.clear c.lru;
   List.iter (fun (fp, e) -> Setcover.Lru.add c.lru fp e) (List.rev entries);
-  match stats with
-  | None -> ()
-  | Some s ->
-    c.hits <- s.s_hits;
-    c.misses <- s.s_misses;
-    c.evictions <- s.s_evictions;
-    c.last_bucket <- s.s_last_bucket;
-    c.fragment_reuses <- s.s_fragment_reuses;
-    c.fragment_reuses_exact <- s.s_fragment_reuses_exact;
-    c.fragment_reuses_forest <- s.s_fragment_reuses_forest;
-    c.fragment_reuses_approx <- s.s_fragment_reuses_approx
+  Option.iter (fun s -> c.counters <- copy_stats s) stats
 
 (* The LowDeg wide-pruning test is [float_of_int width > threshold]
    over integer widths, so two thresholds with the same floor prune
@@ -183,10 +160,10 @@ let threshold_bucket t = int_of_float (Float.floor t)
    entries never saw the threshold and stay. *)
 let evict_stale_buckets c ~wide_global =
   let bucket = threshold_bucket wide_global in
-  match c.last_bucket with
+  match c.counters.s_last_bucket with
   | Some b when b = bucket -> ()
   | _ ->
-    c.last_bucket <- Some bucket;
+    c.counters.s_last_bucket <- Some bucket;
     let stale =
       Setcover.Lru.fold
         (fun fp e acc ->
@@ -199,7 +176,7 @@ let evict_stale_buckets c ~wide_global =
     List.iter
       (fun fp ->
         Setcover.Lru.remove c.lru fp;
-        c.evictions <- c.evictions + 1)
+        c.counters.s_evictions <- c.counters.s_evictions + 1)
       stale;
     if stale <> [] then
       Log.debug (fun m ->
@@ -226,9 +203,10 @@ let entry_reusable ~wide_global e =
    recency bump is immediately superseded by the [add] that follows. *)
 let cache_add c fp e =
   let e =
-    match (Setcover.Lru.find c.lru fp, e.e_decomposition) with
-    | Some { e_decomposition = Some held; _ }, Some d when Decomposition.equal held d ->
-      { e with e_decomposition = Some held }
+    match Setcover.Lru.find c.lru fp with
+    | Some { e_decomposition = held; _ }
+      when Decomposition.equal held e.e_decomposition ->
+      { e with e_decomposition = held }
     | _ -> e
   in
   Setcover.Lru.add c.lru fp e
@@ -388,16 +366,16 @@ let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
             let fp = Fingerprint.shard a ps in
             match Setcover.Lru.find c.lru fp with
             | Some e when entry_reusable ~wide_global e ->
-              c.hits <- c.hits + 1;
+              let k = c.counters in
+              k.s_hits <- k.s_hits + 1;
               if e.e_split then begin
-                c.fragment_reuses <- c.fragment_reuses + 1;
                 match e.e_classification with
                 | Exact_small ->
-                  c.fragment_reuses_exact <- c.fragment_reuses_exact + 1
+                  k.s_fragment_reuses_exact <- k.s_fragment_reuses_exact + 1
                 | Exact_forest ->
-                  c.fragment_reuses_forest <- c.fragment_reuses_forest + 1
+                  k.s_fragment_reuses_forest <- k.s_fragment_reuses_forest + 1
                 | Approximate ->
-                  c.fragment_reuses_approx <- c.fragment_reuses_approx + 1
+                  k.s_fragment_reuses_approx <- k.s_fragment_reuses_approx + 1
               end;
               Some
                 { r_component = ps.Arena.p_component;
@@ -411,7 +389,7 @@ let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
                   r_degraded = false; r_failures = []; r_cached = true;
                   r_fingerprint = Some fp }
             | _ ->
-              c.misses <- c.misses + 1;
+              c.counters.s_misses <- c.counters.s_misses + 1;
               None
           end
       in
@@ -472,9 +450,12 @@ let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
                   None
                 | w :: _ ->
                   let forest = sh.Arena.arena.Arena.forest_case in
+                  (* every registered solver records a decomposition;
+                     only the degraded greedy pass does not, and it is
+                     never cacheable *)
                   let fp =
-                    match cache with
-                    | Some c when cacheable r w ->
+                    match (cache, w.Solution.decomposition) with
+                    | Some c, Some d when cacheable r w ->
                       let fp = Fingerprint.arena sh.Arena.arena in
                       cache_add c fp
                         { e_classification = cls;
@@ -483,8 +464,7 @@ let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
                           e_cost = Solution.cost w;
                           e_certificate = w.Solution.certificate;
                           e_forest = forest; e_threshold = wide_global;
-                          e_split = false;
-                          e_decomposition = w.Solution.decomposition };
+                          e_split = false; e_decomposition = d };
                       Some fp
                     | _ -> None
                   in
@@ -599,9 +579,7 @@ let solve ?(exact_threshold = 16) ?only ?pool ?budget_ms
    certificate (enforced by the lockstep suites in
    [test/test_compindex.ml] and [test/test_decomp_splice.ml]) — and
    [e_split] marks it so splices count into the per-tier
-   [fragment_reuses_*] counters. Entries without a recorded
-   decomposition (loaded from v2 snapshots) seed only through the
-   [Exact_small] identity path. *)
+   [s_fragment_reuses_*] counters. *)
 
 let local_bucket nv = threshold_bucket (sqrt (float_of_int nv))
 
@@ -612,10 +590,7 @@ let restrict_small_entry ~nvf (e : cache_entry) =
   Some
     { e with
       e_split = true;
-      e_decomposition =
-        Option.map
-          (fun d -> { d with Decomposition.d_vtuples = nvf })
-          e.e_decomposition }
+      e_decomposition = { e.e_decomposition with Decomposition.d_vtuples = nvf } }
 
 (* [Exact_forest]: replay the recorded DP tree onto the surviving
    roster. [lost_pres] are the parent component's preserved vids that
@@ -626,9 +601,7 @@ let restrict_small_entry ~nvf (e : cache_entry) =
 let restrict_forest_entry ~(before : Arena.t) ~(after : Arena.t) ~f_sids
     ~f_vids ~lost_pres (e : cache_entry) =
   match e.e_decomposition with
-  | Some
-      ({ Decomposition.d_structure = Decomposition.Forest [ tree ]; _ } as d)
-    -> (
+  | { Decomposition.d_structure = Decomposition.Forest [ tree ]; _ } as d -> (
     let nvf = Array.length f_vids in
     (* fresh solves root at the content-minimal common witness member;
        the recorded pivot must still be it *)
@@ -736,25 +709,23 @@ let restrict_forest_entry ~(before : Arena.t) ~(after : Arena.t) ~f_sids
               e_split = true;
               e_cost = e.e_cost -. discount;
               e_decomposition =
-                Some
-                  { Decomposition.d_vtuples = nvf;
-                    d_parts =
-                      List.map
-                        (fun (pt : Decomposition.part) ->
-                          if String.equal pt.Decomposition.p_label
-                               tree.Decomposition.ft_pivot
-                          then { pt with Decomposition.p_cost = pt.p_cost -. discount }
-                          else pt)
-                        d.Decomposition.d_parts;
-                    d_structure = Decomposition.Forest [ tree' ] } })
+                { Decomposition.d_vtuples = nvf;
+                  d_parts =
+                    List.map
+                      (fun (pt : Decomposition.part) ->
+                        if String.equal pt.Decomposition.p_label
+                             tree.Decomposition.ft_pivot
+                        then { pt with Decomposition.p_cost = pt.p_cost -. discount }
+                        else pt)
+                      d.Decomposition.d_parts;
+                  d_structure = Decomposition.Forest [ tree' ] } })
     | _ -> None)
   | _ -> None
 
 (* [Approximate]: identity under the extra guards described above. *)
 let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
   match e.e_decomposition with
-  | Some ({ Decomposition.d_structure = Decomposition.Contributions; _ } as d)
-    ->
+  | { Decomposition.d_structure = Decomposition.Contributions; _ } as d ->
     let nvf = Array.length f_vids in
     let winner_ok =
       List.mem e.e_winner [ "primal-dual"; "lowdeg"; "lowdeg-global"; "greedy" ]
@@ -776,7 +747,7 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
         { e with
           e_split = true;
           e_certificate = cert;
-          e_decomposition = Some { d with Decomposition.d_vtuples = nvf } }
+          e_decomposition = { d with Decomposition.d_vtuples = nvf } }
     else None
   | _ -> None
 

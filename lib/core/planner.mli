@@ -131,12 +131,11 @@ type cache_entry = {
       (** entered the cache by fragment restriction ({!seed_fragments})
           rather than by solving; splicing it counts as a fragment
           reuse *)
-  e_decomposition : Decomposition.t option;
+  e_decomposition : Decomposition.t;
       (** the winner's per-sub-structure cost decomposition, recorded at
           solve time — the raw material {!seed_fragments} projects onto
-          surviving fragments. [None] only on entries loaded from
-          pre-decomposition (v2) snapshots; such entries still splice
-          but seed only through the [Exact_small] identity path. *)
+          surviving fragments. Every registered solver records one; the
+          cache admits only winners that carry it. *)
 }
 
 (** [create_cache ?capacity ()] — an empty cache holding at most
@@ -145,56 +144,48 @@ val create_cache : ?capacity:int -> unit -> cache
 
 val cache_length : cache -> int
 
-(** Lifetime hit / miss counters (a miss is a clean shard whose
-    fingerprint was absent or whose entry failed the reuse rules). *)
-
-val cache_hits : cache -> int
-val cache_misses : cache -> int
-
-(** Approximate-tier entries dropped by proactive bucket eviction: when
-    the parent √‖V‖ threshold bucket drifts between rounds, entries
-    solved under the old bucket can never be spliced again and are
-    removed eagerly (one sweep per drift) instead of lingering in LRU
-    slots until discovered stale at splice time. *)
-val cache_evictions : cache -> int
-
-(** Lifetime count of splices whose entry was seeded by
-    {!seed_fragments} — cache hits that exist only because a split's
-    surviving fragment inherited its parent's answer by restriction. *)
-val cache_fragment_reuses : cache -> int
-
-(** {!cache_fragment_reuses} split by the seeded entry's tier — which
-    restriction path (identity, forest-tree replay, approximate
-    identity-with-rewrite) produced the spliced answer. The three always
-    sum to the total. *)
-
-val cache_fragment_reuses_exact : cache -> int
-val cache_fragment_reuses_forest : cache -> int
-val cache_fragment_reuses_approx : cache -> int
-
 val cache_clear : cache -> unit
 
-(** {2 Snapshot hooks}
+(** {2 Counters and snapshot hooks}
 
     A cache's observable state is plain data: the bindings in recency
-    order plus the counters. [Engine]'s crash-consistent snapshots
+    order plus one counter block. [Engine]'s crash-consistent snapshots
     persist exactly this pair; restoring it rebuilds a cache
     bit-identical to the one written — same future eviction order, same
     lifetime counters, same bucket latch. *)
 
-(** The counter block, exported and restored alongside the entries. *)
+(** The cache's lifetime counters. The cache keeps one block and bumps
+    it in place; {!cache_stats} hands out a copy and {!cache_restore}
+    installs one. *)
 type cache_stats = {
-  s_hits : int;
-  s_misses : int;
-  s_evictions : int;
-  s_last_bucket : int option;
-      (** the √‖V‖ threshold-bucket latch ({!cache_evictions}) *)
-  s_fragment_reuses : int;
-  s_fragment_reuses_exact : int;
-  s_fragment_reuses_forest : int;
-  s_fragment_reuses_approx : int;
+  mutable s_hits : int;
+      (** lifetime splices: clean shards answered from the cache *)
+  mutable s_misses : int;
+      (** clean shards whose fingerprint was absent or whose entry
+          failed the reuse rules *)
+  mutable s_evictions : int;
+      (** approximate-tier entries dropped by proactive bucket eviction:
+          when the parent √‖V‖ threshold bucket drifts between rounds,
+          entries solved under the old bucket can never be spliced again
+          and are removed eagerly (one sweep per drift) instead of
+          lingering in LRU slots until discovered stale at splice time *)
+  mutable s_last_bucket : int option;
+      (** the √‖V‖ threshold-bucket latch the eviction sweep compares
+          against *)
+  mutable s_fragment_reuses_exact : int;
+  mutable s_fragment_reuses_forest : int;
+  mutable s_fragment_reuses_approx : int;
+      (** splices whose entry was seeded by {!seed_fragments} — cache
+          hits that exist only because a split's surviving fragment
+          inherited its parent's answer by restriction — by the seeded
+          entry's tier: identity, forest-tree replay, or approximate
+          identity-with-rewrite *)
 }
 
+(** The total fragment reuses: the sum of the three per-tier counters. *)
+val fragment_reuses : cache_stats -> int
+
+(** A copy of the counter block. *)
 val cache_stats : cache -> cache_stats
 
 (** Current bindings, most-recently-used first. *)

@@ -160,8 +160,8 @@ type plan = {
   shards_cached : int;
 }
 
+(* the live provenance is the arena's own ([arena.prov]) *)
 type index = {
-  prov : D.Provenance.t;
   arena : D.Arena.t;
   cindex : D.Component_index.t;
       (* the first-class live component index: the canonical partition
@@ -207,15 +207,12 @@ type t = {
 (* the dead-slot ratio above which a commit compacts the live index *)
 let max_tombstone_ratio = 0.5
 
-(* the baseline index always has ΔV = ∅: requests re-target it per round
-   via [with_deletions] without disturbing the live copy. Built exactly
-   once, in [create] — every mutation afterwards patches it. *)
-let index_of t =
-  t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
-  t.index
-
-(* the session database is the live provenance's own *)
-let db t = t.index.prov.D.Provenance.problem.D.Problem.db
+(* the live index always has ΔV = ∅: requests re-target it per round
+   via [with_deletions] without disturbing it. Built exactly once, in
+   [create] — every mutation afterwards patches it. The session
+   database is its provenance's own. *)
+let prov t = t.index.arena.D.Arena.prov
+let db t = (prov t).D.Provenance.problem.D.Problem.db
 
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
@@ -232,7 +229,7 @@ let compact_index t =
   let ix = t.index in
   if D.Arena.tombstoned ix.arena then begin
     let arena, cindex = compact_pair ix.arena ix.cindex in
-    t.index <- { ix with arena; cindex };
+    t.index <- { arena; cindex };
     t.stats <- { t.stats with compactions = t.stats.compactions + 1 }
   end
 
@@ -262,10 +259,10 @@ let apply_delta_raw t (delta : D.Delta.t) =
       delta.D.Delta.inserts
   in
   let ix = t.index in
-  let prov, arena, cindex =
-    if R.Stuple.Set.is_empty dd then (ix.prov, ix.arena, ix.cindex)
+  let arena, cindex =
+    if R.Stuple.Set.is_empty dd then (ix.arena, ix.cindex)
     else begin
-      let prov' = D.Provenance.delete ix.prov dd in
+      let prov' = D.Provenance.delete ix.arena.D.Arena.prov dd in
       let arena' = D.Arena.delete ix.arena ~dd prov' in
       let cindex' =
         D.Component_index.delete ix.cindex ~before:ix.arena ~dd arena'
@@ -280,14 +277,16 @@ let apply_delta_raw t (delta : D.Delta.t) =
           D.Planner.seed_fragments c ~before:ix.arena ~before_index:ix.cindex
             ~dd ~after:arena' ~after_index:cindex')
         t.shard_cache;
-      (prov', arena', cindex')
+      (arena', cindex')
     end
   in
-  let prov, arena, cindex =
-    if R.Stuple.Set.is_empty ins then (prov, arena, cindex)
+  let arena, cindex =
+    if R.Stuple.Set.is_empty ins then (arena, cindex)
     else begin
       let prov' =
-        R.Stuple.Set.fold (fun st p -> D.Provenance.insert p st) ins prov
+        R.Stuple.Set.fold
+          (fun st p -> D.Provenance.insert p st)
+          ins arena.D.Arena.prov
       in
       (* one resurrection attempt; when it fails, a merge-path extend of
          a tombstoned arena would compact inside [Arena.extend],
@@ -300,10 +299,10 @@ let apply_delta_raw t (delta : D.Delta.t) =
           let arena, cindex = compact_pair arena cindex in
           (arena, cindex, D.Arena.extend arena ~ins prov')
       in
-      (prov', arena', D.Component_index.insert cindex ~before:arena arena')
+      (arena', D.Component_index.insert cindex ~before:arena arena')
     end
   in
-  t.index <- { prov; arena; cindex };
+  t.index <- { arena; cindex };
   t.stats <-
     {
       t.stats with
@@ -346,36 +345,36 @@ let baseline t =
   in
   (diff t.base_db cur, diff cur t.base_db)
 
-(* Persist the shard cache's plain-data state, coordinates first: the
-   journal position, the arena's canonical fingerprint, and the index's
-   dirty components. [Snapshot.write] is atomic (temp + fsync + rename),
-   so a crash mid-write leaves the previous snapshot intact — and stale
-   coordinates merely degrade the next recovery to a cold cache. *)
+(* Where the cache stands now, as a snapshot records it: the journal
+   position and the generation it belongs to — the open writer's, or,
+   during a checkpoint (writer closed, the snapshot preceding the
+   [Journal.rewrite]), the bumped one the rewrite is about to stamp —
+   the arena's canonical fingerprint, the partition size, the index's
+   dirty components and the cache counters. *)
+let coords t c =
+  {
+    Snapshot.position = t.journal_len;
+    generation =
+      (match (t.journal, t.journal_path) with
+      | Some w, _ -> Journal.generation w
+      | None, Some path -> Journal.current_gen path + 1
+      | None, None -> 0);
+    arena_fp = D.Fingerprint.arena t.index.arena;
+    components = D.Component_index.num_components t.index.cindex;
+    dirty = D.Component_index.dirty t.index.cindex;
+    stats = D.Planner.cache_stats c;
+  }
+
+(* Persist the shard cache's plain-data state with its coordinates.
+   [Snapshot.write] is atomic (temp + fsync + rename), so a crash
+   mid-write leaves the previous snapshot intact — and stale coordinates
+   merely degrade the next recovery to a cold cache. *)
 let write_snapshot t =
   match (t.snapshot_path, t.shard_cache) with
   | Some spath, Some c ->
-    (* the generation the recorded position belongs to: the open
-       writer's, or — during a checkpoint, where the writer is closed
-       and the snapshot precedes the [Journal.rewrite] — the bumped one
-       the rewrite is about to stamp *)
-    let generation =
-      match (t.journal, t.journal_path) with
-      | Some w, _ -> Journal.generation w
-      | None, Some path -> Journal.current_gen path + 1
-      | None, None -> 0
-    in
     let entries = D.Planner.cache_entries c in
     Snapshot.write spath
-      {
-        Snapshot.position = t.journal_len;
-        generation;
-        arena_fp = D.Fingerprint.arena t.index.arena;
-        components = D.Component_index.num_components t.index.cindex;
-        dirty = D.Component_index.dirty t.index.cindex;
-        stats = D.Planner.cache_stats c;
-        baseline = Some (baseline t);
-        entries;
-      };
+      { Snapshot.coords = coords t c; baseline = Some (baseline t); entries };
     t.last_snapshot_len <- t.journal_len;
     (* refresh the delta-append diff base: the on-disk image now holds
        exactly these bindings (physical identity — the LRU only ever
@@ -396,10 +395,14 @@ let record_delta = function
 (* Between full images, persist the round as one incremental delta
    group: the refreshed coordinates, the cache bindings that changed
    since the mirror (by physical identity), and the round's database
-   delta. Appends are cheap — O(changed entries), not O(cache) — so the
-   snapshot stays one clean-prefix fold behind the journal even with
-   [snapshot_every] set high. Never across sessions: the mirror is
-   [None] until this session's first full write. *)
+   delta. The bytes an append writes are O(changed entries), not
+   O(cache), so the snapshot stays one clean-prefix fold behind the
+   journal even with [snapshot_every] set high; the diff itself still
+   walks the whole cache ([cache_entries] and a table over every
+   binding) on every commit. Never across sessions: the mirror is
+   [None] until this session's first full write. Runs only from
+   [journal_append], so the writer is open and [coords] records its
+   generation. *)
 let append_snapshot_delta t record =
   match (t.snapshot_path, t.shard_cache, t.snap_mirror) with
   | Some spath, Some c, Some mirror -> (
@@ -420,18 +423,10 @@ let append_snapshot_delta t record =
         mirror []
     in
     let deletes, inserts = record_delta record in
-    let generation =
-      match t.journal with Some w -> Journal.generation w | None -> 0
-    in
     match
       Snapshot.append ~fsync:t.fsync spath
         {
-          Snapshot.d_position = t.journal_len;
-          d_generation = generation;
-          d_arena_fp = D.Fingerprint.arena t.index.arena;
-          d_components = D.Component_index.num_components t.index.cindex;
-          d_dirty = D.Component_index.dirty t.index.cindex;
-          d_stats = D.Planner.cache_stats c;
+          Snapshot.d_coords = coords t c;
           d_removed = removed;
           d_order = List.map fst entries;
           d_deletes = deletes;
@@ -525,7 +520,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       journal_len = 0;
       last_snapshot_len = 0;
       pool = D.Par.Pool.create ?domains ();
-      index = { prov; arena; cindex };
+      index = { arena; cindex };
       stats =
         { zero_stats with rebuilds = 1;
           components = D.Component_index.num_components cindex };
@@ -564,19 +559,20 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
        invariant, so physical-layout differences between the crashed
        process and this replay don't matter. *)
     let install (s : Snapshot.t) dropped =
+      let at = s.Snapshot.coords in
       match t.shard_cache with
       | None -> false
       | Some c ->
         if
-          s.Snapshot.components = D.Component_index.num_components t.index.cindex
-          && D.Fingerprint.equal s.Snapshot.arena_fp
+          at.Snapshot.components = D.Component_index.num_components t.index.cindex
+          && D.Fingerprint.equal at.Snapshot.arena_fp
                (D.Fingerprint.arena t.index.arena)
         then begin
-          D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
+          D.Planner.cache_restore ~stats:at.Snapshot.stats c s.Snapshot.entries;
           t.index <-
             { t.index with
               cindex =
-                D.Component_index.restore_dirty t.index.cindex s.Snapshot.dirty };
+                D.Component_index.restore_dirty t.index.cindex at.Snapshot.dirty };
           t.stats <-
             {
               t.stats with
@@ -593,7 +589,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
        transitions and [install] copy the clean bits, and only [request]
        marks bits in place), so [cindex] is still all dirty *)
     let reset_state () =
-      t.index <- { prov; arena; cindex };
+      t.index <- { arena; cindex };
       (match t.shard_cache with
       | Some c -> D.Planner.cache_clear c
       | None -> ());
@@ -620,16 +616,16 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     let reclaim = ref false in
     let fast =
       match snap with
-      | Some (s, dropped)
-        when s.Snapshot.position > 0
+      | Some (({ Snapshot.coords = at; _ } as s), dropped)
+        when at.Snapshot.position > 0
              && s.Snapshot.baseline <> None
-             && Journal.current_gen path = s.Snapshot.generation -> (
+             && Journal.current_gen path = at.Snapshot.generation -> (
         match
-          Journal.load_from ~repair:true ~position:s.Snapshot.position path
+          Journal.load_from ~repair:true ~position:at.Snapshot.position path
         with
         | Error _ -> false
         | Ok { Journal.tail; total; covered } ->
-          if total < s.Snapshot.position then false
+          if total < at.Snapshot.position then false
           else begin
             let gone, added = Option.get s.Snapshot.baseline in
             ignore
@@ -664,8 +660,8 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       List.iteri
         (fun i record ->
           (match snap with
-          | Some (s, dropped) when (not !installed) && i = s.Snapshot.position
-            ->
+          | Some (s, dropped)
+            when (not !installed) && i = s.Snapshot.coords.Snapshot.position ->
             installed := install s dropped
           | _ -> ());
           replay_record t record)
@@ -711,52 +707,39 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
 
 (* the materialized views are the live provenance's own — a
    [Matview.t] over them is just a record *)
-let matview t =
-  let prov = t.index.prov in
-  D.Matview.of_views (db t) t.queries prov.D.Provenance.views
+let matview t = D.Matview.of_views (db t) t.queries (prov t).D.Provenance.views
 
 let view t name = D.Matview.view (matview t) name
 
-(* the two derived fields are snapshots of live state, stamped at read
-   time: the planner cache owns the hit counter, the arena the ratio *)
+(* the derived fields are snapshots of live state, stamped at read
+   time: the planner cache owns the hit and reuse counters, the arena
+   the ratio *)
 let stats t =
-  {
-    t.stats with
-    shard_cache_hits =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_hits c);
-    fragment_reuses =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses c);
-    fragment_reuses_exact =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_exact c);
-    fragment_reuses_forest =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_forest c);
-    fragment_reuses_approx =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_approx c);
-    tombstone_ratio = D.Arena.tombstone_ratio t.index.arena;
-  }
+  let s = { t.stats with tombstone_ratio = D.Arena.tombstone_ratio t.index.arena } in
+  match t.shard_cache with
+  | None -> s
+  | Some c ->
+    let k = D.Planner.cache_stats c in
+    {
+      s with
+      shard_cache_hits = k.D.Planner.s_hits;
+      fragment_reuses = D.Planner.fragment_reuses k;
+      fragment_reuses_exact = k.D.Planner.s_fragment_reuses_exact;
+      fragment_reuses_forest = k.D.Planner.s_fragment_reuses_forest;
+      fragment_reuses_approx = k.D.Planner.s_fragment_reuses_approx;
+    }
 
 let compact t = compact_index t
 
-let index t =
-  let ix = index_of t in
-  (ix.prov, ix.arena)
+let index t = (prov t, t.index.arena)
+let partition t = D.Component_index.partition t.index.cindex
+let component_index t = t.index.cindex
 
-let partition t = D.Component_index.partition (index_of t).cindex
-let component_index t = (index_of t).cindex
-
+(* a round re-targets the live index ([with_deletions]) without
+   disturbing it — the one place [index_retargets] counts *)
 let request ?budget_ms t requests =
-  let ix = index_of t in
-  match D.Delta_request.validate ~views:ix.prov.D.Provenance.views requests with
+  t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
+  match D.Delta_request.validate ~views:(prov t).D.Provenance.views requests with
   | Error _ as e -> e
   | Ok () ->
     let t0 = Unix.gettimeofday () in
@@ -765,7 +748,7 @@ let request ?budget_ms t requests =
        follow over the same state find the live index already compact *)
     if not t.plan_solver then compact_index t;
     let ix = t.index in
-    let prov' = D.Provenance.with_deletions ix.prov requests in
+    let prov' = D.Provenance.with_deletions ix.arena.D.Arena.prov requests in
     let arena' = D.Arena.with_deletions ix.arena prov' in
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
     (* flat sessions take the whole-instance portfolio; the component

@@ -120,6 +120,29 @@ let frame payload =
 
 let encode record = frame (payload_of record)
 
+type frame_read =
+  | Frame of string * int
+  | Bad_checksum of int
+  | Torn
+
+(* The one frame reader both file formats walk with. [verify:false]
+   hops frames without checksumming them (a skim never reports
+   [Bad_checksum]). *)
+let read_frame ?(verify = true) data pos =
+  let len = String.length data in
+  if len - pos < 8 then Torn
+  else
+    let plen = read_u32_le data pos in
+    if len - pos - 8 < plen then Torn
+    else
+      let payload = String.sub data (pos + 8) plen in
+      let next = pos + 8 + plen in
+      if
+        verify
+        && Int32.to_int (crc32 payload) land 0xFFFFFFFF <> read_u32_le data (pos + 4)
+      then Bad_checksum next
+      else Frame (payload, next)
+
 (* ---- segments ----
 
    The active segment lives at [path]; rotation seals it by renaming to
@@ -222,42 +245,27 @@ let parse_segment ?(repair = false) ~allow_torn ~index0 path =
   then ([], Some (Bad_magic path))
   else begin
     let truncate_to pos = if repair && allow_torn then Unix.truncate path pos in
+    (* a torn write: dropped in the active segment (truncated off with
+       [repair]), corruption anywhere else *)
+    let torn pos index acc =
+      if allow_torn then begin
+        truncate_to pos;
+        (List.rev acc, None)
+      end
+      else
+        (List.rev acc, Some (Corrupt { index; reason = "torn record in sealed segment" }))
+    in
     let rec go pos index acc =
       if pos = len then (List.rev acc, None)
-      else if len - pos < 8 then
-        if allow_torn then begin
-          (* torn header *)
-          truncate_to pos;
-          (List.rev acc, None)
-        end
-        else
-          ( List.rev acc,
-            Some (Corrupt { index; reason = "torn record in sealed segment" }) )
-      else begin
-        let plen = read_u32_le data pos in
-        let crc = read_u32_le data (pos + 4) in
-        if len - pos - 8 < plen then
-          if allow_torn then begin
-            (* torn payload *)
-            truncate_to pos;
-            (List.rev acc, None)
-          end
-          else
-            ( List.rev acc,
-              Some (Corrupt { index; reason = "torn record in sealed segment" })
-            )
-        else begin
-          let payload = String.sub data (pos + 8) plen in
-          let next = pos + 8 + plen in
-          if Int32.to_int (crc32 payload) land 0xFFFFFFFF <> crc then
-            if next = len && allow_torn then begin
-              (* checksum failure on the final record: torn write *)
-              truncate_to pos;
-              (List.rev acc, None)
-            end
-            else
-              (List.rev acc, Some (Corrupt { index; reason = "checksum mismatch" }))
-          else if String.length payload >= 1 && payload.[0] = 'G' then
+      else
+        match read_frame data pos with
+        | Torn -> torn pos index acc
+        | Bad_checksum next ->
+          (* checksum failure on the final record: torn write *)
+          if next = len && allow_torn then torn pos index acc
+          else (List.rev acc, Some (Corrupt { index; reason = "checksum mismatch" }))
+        | Frame (payload, next) -> (
+          if String.length payload >= 1 && payload.[0] = 'G' then
             (* generation marker: framing only, never replayed *)
             go next index acc
           else
@@ -266,9 +274,7 @@ let parse_segment ?(repair = false) ~allow_torn ~index0 path =
             | exception (Failure msg | R.Serial.Parse_error (_, msg)) ->
               (* a checksummed payload that does not decode is corruption
                  whatever its position — the bytes were written whole *)
-              (List.rev acc, Some (Corrupt { index; reason = msg }))
-        end
-      end
+              (List.rev acc, Some (Corrupt { index; reason = msg })))
     in
     go (String.length magic) index0 []
   end
@@ -287,13 +293,12 @@ let count_segment_records path =
     else begin
       let rec go pos n =
         if pos = len then Some n
-        else if len - pos < 8 then None
         else
-          let plen = read_u32_le data pos in
-          if plen < 0 || len - pos - 8 < plen then None
-          else
-            let is_marker = plen >= 1 && data.[pos + 8] = 'G' in
-            go (pos + 8 + plen) (if is_marker then n else n + 1)
+          match read_frame ~verify:false data pos with
+          | Frame (payload, next) ->
+            let is_marker = String.length payload >= 1 && payload.[0] = 'G' in
+            go next (if is_marker then n else n + 1)
+          | Bad_checksum _ | Torn -> None
       in
       go mlen 0
     end
@@ -304,36 +309,37 @@ type tail = {
   covered : string list;
 }
 
-(* [load_from ~position] — the journal's records with global index ≥
-   [position], without decoding the prefix a snapshot already covers:
-   sealed segments lying entirely inside the first [position] records
-   are skipped after a structural skim-count (their paths come back in
-   [covered] so the caller can reclaim them once the install sticks).
-   Skimming checks framing only — a bit flip inside a covered segment is
-   invisible here, which is sound exactly because the caller replaces
-   those records with the snapshot's baseline and never replays them.
-   Segments the prefix only partially covers (always including the
-   active one) parse normally, and any structural damage is the same
-   typed error [load] reports. *)
-let load_from ?(repair = false) ~position path =
+(* The one segment walk: current-generation sealed segments in sequence
+   order, then the active file, keeping the records with global index ≥
+   [position]. With [position > 0], sealed segments lying entirely
+   inside the first [position] records are skipped after a structural
+   skim-count (their paths come back in [covered] so the caller can
+   reclaim them once the install sticks). Skimming checks framing only —
+   a bit flip inside a covered segment is invisible here, which is sound
+   exactly because the caller replaces those records with the
+   snapshot's baseline and never replays them. Every other segment
+   (always including the active one) parses and checksums in full; at
+   [position = 0] nothing is skimmed. [keep_going]: a typed error
+   mid-stream salvages the valid prefix instead of failing the walk —
+   every record before the corruption is kept, everything at and after
+   it is dropped (later segments included: replaying past a hole would
+   desynchronize the state). *)
+let walk ~repair ~keep_going ~position path =
   let gen = current_gen path in
   let sealed =
     List.filter_map
-      (fun (g, _, p) -> if g = gen then Some p else None)
+      (fun (g, _, p) -> if g = gen then Some (p, false) else None)
       (sealed_segments path)
   in
-  let files =
-    List.map (fun p -> (p, false)) sealed
-    @ (if Sys.file_exists path then [ (path, true) ] else [])
+  let files = sealed @ if Sys.file_exists path then [ (path, true) ] else [] in
+  let result before acc covered =
+    { tail = List.concat (List.rev acc); total = before; covered = List.rev covered }
   in
   let rec go before acc covered = function
-    | [] ->
-      Ok
-        { tail = List.concat (List.rev acc); total = before;
-          covered = List.rev covered }
+    | [] -> Ok (result before acc covered)
     | (p, final) :: rest -> (
       let skim =
-        if final then None
+        if final || position = 0 then None
         else
           match count_segment_records p with
           | Some n when before + n <= position -> Some n
@@ -342,43 +348,24 @@ let load_from ?(repair = false) ~position path =
       match skim with
       | Some n -> go (before + n) acc (p :: covered) rest
       | None -> (
-        match parse_segment ~repair ~allow_torn:final ~index0:before p with
-        | records, None ->
-          let n = List.length records in
-          let keep = List.filteri (fun i _ -> before + i >= position) records in
-          go (before + n) (keep :: acc) covered rest
-        | _, Some e -> Error e))
+        let records, err = parse_segment ~repair ~allow_torn:final ~index0:before p in
+        let n = List.length records in
+        let keep =
+          if position = 0 then records
+          else List.filteri (fun i _ -> before + i >= position) records
+        in
+        match err with
+        | None -> go (before + n) (keep :: acc) covered rest
+        | Some _ when keep_going -> Ok (result (before + n) (keep :: acc) covered)
+        | Some e -> Error e))
   in
   go 0 [] [] files
 
+let load_from ?(repair = false) ~position path =
+  walk ~repair ~keep_going:false ~position path
+
 let load ?(repair = false) ?(keep_going = false) path =
-  let gen = current_gen path in
-  let sealed =
-    List.filter_map
-      (fun (g, _, p) -> if g = gen then Some p else None)
-      (sealed_segments path)
-  in
-  let files =
-    List.map (fun p -> (p, false)) sealed
-    @ (if Sys.file_exists path then [ (path, true) ] else [])
-  in
-  if files = [] then Ok []
-  else begin
-    (* [keep_going]: a typed error mid-stream salvages the valid prefix
-       instead of failing the load — every record before the corruption
-       replays, everything at and after it is dropped (later segments
-       included: replaying past a hole would desynchronize the state) *)
-    let rec go acc index0 = function
-      | [] -> Ok (List.concat (List.rev acc))
-      | (p, final) :: rest -> (
-        match parse_segment ~repair ~allow_torn:final ~index0 p with
-        | records, None -> go (records :: acc) (index0 + List.length records) rest
-        | records, Some e ->
-          if keep_going then Ok (List.concat (List.rev (records :: acc)))
-          else Error e)
-    in
-    go [] 0 files
-  end
+  Result.map (fun r -> r.tail) (walk ~repair ~keep_going ~position:0 path)
 
 (* ---- writing ---- *)
 
@@ -391,9 +378,50 @@ type writer = {
   mutable oc : out_channel;
 }
 
+let fsync_channel oc = Unix.fsync (Unix.descr_of_out_channel oc)
+
 let flush_channel ~fsync oc =
   flush oc;
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc)
+  if fsync then fsync_channel oc
+
+(* The one failpoint-guarded write. [emit k] writes (and flushes) the
+   first [k] of [len] bytes; [commit] is what makes a whole write
+   visible (a rename). Under [Crash_after_bytes n] only [min n len]
+   bytes are emitted, [commit] runs iff that was all of them, and the
+   write dies with [Injected site]; any other armed action is [hit]
+   before the write. *)
+let write_guarded ?(commit = ignore) site ~len emit =
+  match D.Failpoint.find site with
+  | Some (D.Failpoint.Crash_after_bytes n) ->
+    let k = min n len in
+    emit k;
+    if k = len then commit ();
+    raise (D.Failpoint.Injected site)
+  | fp ->
+    if fp <> None then D.Failpoint.hit site;
+    emit len;
+    commit ()
+
+(* [k] bytes of [data] to a fresh channel on [path], flushed — and
+   fsynced when [sync] and they are all of [data] *)
+let write_prefix ~flags ~sync path data k =
+  let oc = open_out_gen (Open_wronly :: Open_creat :: Open_binary :: flags) 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_substring oc data 0 k;
+      flush oc;
+      if sync && k = String.length data then fsync_channel oc)
+
+let replace_file site path data =
+  let tmp = path ^ ".tmp" in
+  write_guarded site ~len:(String.length data)
+    ~commit:(fun () -> Sys.rename tmp path)
+    (write_prefix ~flags:[ Open_trunc ] ~sync:true tmp data)
+
+let append_file ?(fsync = false) site path data =
+  write_guarded site ~len:(String.length data)
+    (write_prefix ~flags:[ Open_append ] ~sync:fsync path data)
 
 let open_channel ~fsync ~gen path =
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path in
@@ -437,16 +465,10 @@ let maybe_rotate w =
 
 let append w record =
   let bytes = encode record in
-  (match D.Failpoint.find "journal.append" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    let n = min n (String.length bytes) in
-    output_string w.oc (String.sub bytes 0 n);
-    flush w.oc;
-    raise (D.Failpoint.Injected "journal.append")
-  | Some _ -> D.Failpoint.hit "journal.append"
-  | None -> ());
-  output_string w.oc bytes;
-  flush_channel ~fsync:w.fsync w.oc;
+  write_guarded "journal.append" ~len:(String.length bytes) (fun k ->
+      output_substring w.oc bytes 0 k;
+      flush w.oc);
+  if w.fsync then fsync_channel w.oc;
   maybe_rotate w
 
 let close_writer w = close_out_noerr w.oc
@@ -455,43 +477,13 @@ let generation w = w.gen
 let rewrite path records =
   let sealed = sealed_segments path in
   let gen = current_gen path + 1 in
-  let image =
-    String.concat "" (magic :: gen_marker gen :: List.map encode records)
-  in
-  let unlink_sealed () =
-    List.iter (fun (_, _, p) -> try Sys.remove p with Sys_error _ -> ()) sealed
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
-  match D.Failpoint.find "journal.rewrite" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    (* the compactor dies [n] bytes into the replacement file: a torn
-       [.tmp] never renamed over the journal — unless the allowance
-       covered the whole image, in which case the rename happened and
-       the kill struck just after the compaction committed (stale sealed
-       segments survive the simulated crash; the generation bump makes
-       the next load ignore them) *)
-    let k = min n (String.length image) in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (String.sub image 0 k);
-        flush oc);
-    if k = String.length image then Sys.rename tmp path;
-    raise (D.Failpoint.Injected "journal.rewrite")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "journal.rewrite"
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc image;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path;
-    (* cleanup after the commit point: crash-safe, see the gen bump *)
-    unlink_sealed ()
+  (* a crash whose allowance covered the whole image commits the rename
+     and dies just after: stale sealed segments survive the simulated
+     crash, and the generation bump makes the next load ignore them *)
+  replace_file "journal.rewrite" path
+    (String.concat "" (magic :: gen_marker gen :: List.map encode records));
+  (* cleanup after the commit point: crash-safe, see the gen bump *)
+  List.iter (fun (_, _, p) -> try Sys.remove p with Sys_error _ -> ()) sealed
 
 let remove path =
   if Sys.file_exists path then Sys.remove path;

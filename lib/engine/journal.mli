@@ -175,9 +175,10 @@ val rewrite : string -> record list -> unit
     segment, any generation. Missing files are fine. *)
 val remove : string -> unit
 
-(** {1 Checksums and framing}
+(** {1 Checksums, framing and guarded writes}
 
-    Shared with {!Snapshot}, whose files use the same frame shape. *)
+    Shared with {!Snapshot}, whose files use the same frame shape and
+    the same writers. *)
 
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]) of a whole string —
     also used by the resilience tests to forge corrupt records. *)
@@ -188,6 +189,41 @@ val read_u32_le : string -> int -> int
 
 (** [frame payload] — u32 LE length, u32 LE CRC-32, then [payload]. *)
 val frame : string -> string
+
+(** What {!read_frame} finds at an offset. *)
+type frame_read =
+  | Frame of string * int
+      (** a whole frame: its payload and the offset of the next frame *)
+  | Bad_checksum of int
+      (** a delimitable frame whose payload fails its CRC-32; the offset
+          of the next frame *)
+  | Torn
+      (** no frame can be delimited here: fewer than 8 header bytes, or
+          a length running past the end of the data *)
+
+(** [read_frame data pos] — the frame starting at byte [pos] of [data].
+    The one frame reader: {!load}'s segment parser, its skim count and
+    [Snapshot.load] all walk with it. [verify] (default [true]) checks
+    the CRC-32; [~verify:false] only delimits, and never returns
+    [Bad_checksum]. *)
+val read_frame : ?verify:bool -> string -> int -> frame_read
+
+(** [replace_file site path data] — atomically replace [path] with
+    [data]: write [path ^ ".tmp"], flush, fsync, rename. Crosses the
+    failpoint [site]: [Crash_after_bytes n] writes only the first [n]
+    bytes of the temp file and raises {!Deleprop.Failpoint.Injected}
+    [site], renaming iff the allowance covered all of [data] (fsynced
+    first); any other armed action is hit before the temp file is
+    opened. {!rewrite} and [Snapshot.write] both replace through it. *)
+val replace_file : string -> string -> string -> unit
+
+(** [append_file ?fsync site path data] — append [data] to [path]
+    (created if missing) and flush, fsyncing under [fsync] (default
+    [false]). Not atomic. Crosses the failpoint [site] the way
+    {!replace_file} does: [Crash_after_bytes n] appends only the first
+    [n] bytes, then raises. [Snapshot.append] writes through it; {!append}
+    shares the same guard on its open channel. *)
+val append_file : ?fsync:bool -> string -> string -> string -> unit
 
 (** The whole file at [path], read in binary mode. *)
 val read_file : string -> string

@@ -7,21 +7,23 @@ let magic = "DLPSNAP1"
 (* v3: per-entry decomposition records (the per-fragment cost
    decompositions [Planner.seed_fragments] restricts across splits), the
    per-tier fragment-reuse counters, and incremental delta frames
-   appended between full images ({!append}). v2 images still load —
-   their entries carry no decomposition ([None]: they splice normally
-   but seed only through the Exact_small identity path) and their
-   per-tier counters restore as zero. v1 snapshots load as
-   [Version_mismatch] and degrade to a cold cache, like any other
-   unreadable image. *)
+   appended between full images ({!append}). Every other version — v2
+   images from before those existed, v1 images from before the
+   baseline/generation coordinates — loads as [Version_mismatch] and
+   degrades to a cold cache, like any other unreadable image. *)
 let version = 3
 
-type t = {
+type coords = {
   position : int;
   generation : int;
   arena_fp : D.Fingerprint.t;
   components : int;
   dirty : int list;
   stats : D.Planner.cache_stats;
+}
+
+type t = {
+  coords : coords;
   baseline : (R.Stuple.Set.t * R.Stuple.Set.t) option;
   entries : (D.Fingerprint.t * D.Planner.cache_entry) list;
 }
@@ -33,12 +35,7 @@ type t = {
    reproduces the [t] a full write at the same moment would have
    produced *)
 type delta = {
-  d_position : int;
-  d_generation : int;
-  d_arena_fp : D.Fingerprint.t;
-  d_components : int;
-  d_dirty : int list;
-  d_stats : D.Planner.cache_stats;
+  d_coords : coords;
   d_removed : D.Fingerprint.t list;
   d_order : D.Fingerprint.t list;
   d_deletes : R.Stuple.Set.t;
@@ -136,10 +133,22 @@ let class_of_string = function
   | "approx" -> D.Planner.Approximate
   | _ -> failwith "bad classification"
 
-(* the counter block travels identically in the header and in delta
-   frames *)
-let stats_lines (s : D.Planner.cache_stats) =
+let int_list_of_line key line =
+  field key line |> String.split_on_char ' '
+  |> List.filter (fun s -> s <> "")
+  |> List.map int_of_string
+
+(* The coordinate block travels identically in the header and in delta
+   frames: the journal coordinates, then the cache counters. The
+   "splices" line carries the per-tier counters' total. *)
+let coords_lines c =
+  let s = c.stats in
   [
+    "position " ^ string_of_int c.position;
+    "generation " ^ string_of_int c.generation;
+    "arena " ^ D.Fingerprint.to_hex c.arena_fp;
+    "components " ^ string_of_int c.components;
+    String.concat " " ("dirty" :: List.map string_of_int c.dirty);
     "hits " ^ string_of_int s.D.Planner.s_hits;
     "misses " ^ string_of_int s.D.Planner.s_misses;
     "evictions " ^ string_of_int s.D.Planner.s_evictions;
@@ -148,18 +157,17 @@ let stats_lines (s : D.Planner.cache_stats) =
     match s.D.Planner.s_last_bucket with
     | None -> "-"
     | Some b -> string_of_int b);
-    "splices " ^ string_of_int s.D.Planner.s_fragment_reuses;
+    "splices " ^ string_of_int (D.Planner.fragment_reuses s);
     "splices_exact " ^ string_of_int s.D.Planner.s_fragment_reuses_exact;
     "splices_forest " ^ string_of_int s.D.Planner.s_fragment_reuses_forest;
     "splices_approx " ^ string_of_int s.D.Planner.s_fragment_reuses_approx;
   ]
 
-(* decode the 5-line v2 prefix, then — when [tiered] — the 3 per-tier
-   lines v3 adds; returns the stats and the remaining lines *)
-let decode_stats ~tiered lines =
-  match lines with
-  | hits :: misses :: ev :: bucket :: splices :: rest ->
-    let base =
+(* returns the block and the lines after it *)
+let decode_coords = function
+  | pos :: gen :: ar :: comp :: dirty :: hits :: misses :: ev :: bucket
+    :: splices :: se :: sf :: sa :: rest ->
+    let stats =
       {
         D.Planner.s_hits = int_of_string (field "hits" hits);
         s_misses = int_of_string (field "misses" misses);
@@ -168,41 +176,27 @@ let decode_stats ~tiered lines =
           (match field "bucket" bucket with
           | "-" -> None
           | b -> Some (int_of_string b));
-        s_fragment_reuses = int_of_string (field "splices" splices);
-        s_fragment_reuses_exact = 0;
-        s_fragment_reuses_forest = 0;
-        s_fragment_reuses_approx = 0;
+        s_fragment_reuses_exact = int_of_string (field "splices_exact" se);
+        s_fragment_reuses_forest = int_of_string (field "splices_forest" sf);
+        s_fragment_reuses_approx = int_of_string (field "splices_approx" sa);
       }
     in
-    if not tiered then (base, rest)
-    else (
-      match rest with
-      | se :: sf :: sa :: rest ->
-        ( {
-            base with
-            D.Planner.s_fragment_reuses_exact =
-              int_of_string (field "splices_exact" se);
-            s_fragment_reuses_forest =
-              int_of_string (field "splices_forest" sf);
-            s_fragment_reuses_approx =
-              int_of_string (field "splices_approx" sa);
-          },
-          rest )
-      | _ -> failwith "truncated counter block")
-  | _ -> failwith "truncated counter block"
+    if int_of_string (field "splices" splices) <> D.Planner.fragment_reuses stats
+    then failwith "splice total disagrees with the per-tier counters";
+    ( {
+        position = int_of_string (field "position" pos);
+        generation = int_of_string (field "generation" gen);
+        arena_fp = fp_of_hex (field "arena" ar);
+        components = int_of_string (field "components" comp);
+        dirty = int_list_of_line "dirty" dirty;
+        stats;
+      },
+      rest )
+  | _ -> failwith "truncated coordinate block"
 
 let header_payload t =
   String.concat "\n"
-    ([
-       "H";
-       "version " ^ string_of_int version;
-       "position " ^ string_of_int t.position;
-       "generation " ^ string_of_int t.generation;
-       "arena " ^ D.Fingerprint.to_hex t.arena_fp;
-       "components " ^ string_of_int t.components;
-       String.concat " " ("dirty" :: List.map string_of_int t.dirty);
-     ]
-    @ stats_lines t.stats
+    (("H" :: ("version " ^ string_of_int version) :: coords_lines t.coords)
     @ [
         ("baseline " ^ match t.baseline with None -> "0" | Some _ -> "1");
         "entries " ^ string_of_int (List.length t.entries);
@@ -212,19 +206,10 @@ exception Bad_version of int
 
 let decode_header payload =
   match String.split_on_char '\n' payload with
-  | "H" :: v :: pos :: gen :: ar :: comp :: dirty :: rest -> (
+  | "H" :: v :: rest -> (
     let v = int_of_string (field "version" v) in
-    if v <> version && v <> 2 then raise (Bad_version v);
-    let position = int_of_string (field "position" pos) in
-    let generation = int_of_string (field "generation" gen) in
-    let arena_fp = fp_of_hex (field "arena" ar) in
-    let components = int_of_string (field "components" comp) in
-    let dirty =
-      field "dirty" dirty |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-    in
-    let stats, rest = decode_stats ~tiered:(v >= 3) rest in
+    if v <> version then raise (Bad_version v);
+    let coords, rest = decode_coords rest in
     match rest with
     | [ baseline; entries ] ->
       let has_baseline =
@@ -233,14 +218,11 @@ let decode_header payload =
         | "0" -> false
         | _ -> failwith "bad baseline flag"
       in
-      let count = int_of_string (field "entries" entries) in
-      ( { position; generation; arena_fp; components; dirty; stats;
-          baseline = None; entries = [] },
-        has_baseline, count )
+      (coords, has_baseline, int_of_string (field "entries" entries))
     | _ -> failwith "malformed header")
   | _ -> failwith "malformed header"
 
-(* ---- decomposition section (v3 entries; absent in v2) ---- *)
+(* ---- decomposition section ---- *)
 
 let cert_slice_token = function
   | D.Decomposition.Slice_exact -> "exact"
@@ -261,54 +243,52 @@ let cert_slice_of_token s =
 (* Labels, node keys and pivots are [Stuple.to_string] content — they
    may contain spaces, so each travels on its own line, delimited by the
    counts in the structural lines around it. *)
-let decomp_lines = function
-  | None -> [ "decomp none" ]
-  | Some (d : D.Decomposition.t) ->
-    let trees =
-      match d.D.Decomposition.d_structure with
-      | D.Decomposition.Forest ts -> ts
-      | _ -> []
-    in
-    let tag =
-      match d.D.Decomposition.d_structure with
-      | D.Decomposition.Witness_groups -> "groups"
-      | D.Decomposition.Forest _ -> "forest"
-      | D.Decomposition.Contributions -> "contrib"
-    in
-    Printf.sprintf "decomp %s %d %d %d" tag d.D.Decomposition.d_vtuples
-      (List.length d.D.Decomposition.d_parts)
-      (List.length trees)
-    :: List.concat_map
-         (fun (p : D.Decomposition.part) ->
-           Printf.sprintf "part %s %s %d"
-             (hex_of_float p.D.Decomposition.p_cost)
-             (cert_slice_token p.D.Decomposition.p_cert)
-             (R.Stuple.Set.cardinal p.D.Decomposition.p_deleted)
-           :: p.D.Decomposition.p_label
-           :: List.map R.Stuple.to_string
-                (R.Stuple.Set.elements p.D.Decomposition.p_deleted))
-         d.D.Decomposition.d_parts
-    @ List.concat_map
-        (fun (tr : D.Decomposition.forest_tree) ->
-          Printf.sprintf "tree %d" (List.length tr.D.Decomposition.ft_nodes)
-          :: tr.D.Decomposition.ft_pivot
-          :: List.concat_map
-               (fun (k, (n : D.Decomposition.forest_node)) ->
-                 Printf.sprintf "node %d %s %s %s %s"
-                   n.D.Decomposition.fn_depth
-                   (if n.D.Decomposition.fn_cut then "1" else "0")
-                   (hex_of_float n.D.Decomposition.fn_value)
-                   (hex_of_float n.D.Decomposition.fn_slack)
-                   (match n.D.Decomposition.fn_parent with
-                   | None -> "-"
-                   | Some _ -> "P")
-                 :: k
-                 ::
+let decomp_lines (d : D.Decomposition.t) =
+  let trees =
+    match d.D.Decomposition.d_structure with
+    | D.Decomposition.Forest ts -> ts
+    | _ -> []
+  in
+  let tag =
+    match d.D.Decomposition.d_structure with
+    | D.Decomposition.Witness_groups -> "groups"
+    | D.Decomposition.Forest _ -> "forest"
+    | D.Decomposition.Contributions -> "contrib"
+  in
+  Printf.sprintf "decomp %s %d %d %d" tag d.D.Decomposition.d_vtuples
+    (List.length d.D.Decomposition.d_parts)
+    (List.length trees)
+  :: List.concat_map
+       (fun (p : D.Decomposition.part) ->
+         Printf.sprintf "part %s %s %d"
+           (hex_of_float p.D.Decomposition.p_cost)
+           (cert_slice_token p.D.Decomposition.p_cert)
+           (R.Stuple.Set.cardinal p.D.Decomposition.p_deleted)
+         :: p.D.Decomposition.p_label
+         :: List.map R.Stuple.to_string
+              (R.Stuple.Set.elements p.D.Decomposition.p_deleted))
+       d.D.Decomposition.d_parts
+  @ List.concat_map
+      (fun (tr : D.Decomposition.forest_tree) ->
+        Printf.sprintf "tree %d" (List.length tr.D.Decomposition.ft_nodes)
+        :: tr.D.Decomposition.ft_pivot
+        :: List.concat_map
+             (fun (k, (n : D.Decomposition.forest_node)) ->
+               Printf.sprintf "node %d %s %s %s %s"
+                 n.D.Decomposition.fn_depth
+                 (if n.D.Decomposition.fn_cut then "1" else "0")
+                 (hex_of_float n.D.Decomposition.fn_value)
+                 (hex_of_float n.D.Decomposition.fn_slack)
                  (match n.D.Decomposition.fn_parent with
-                 | None -> []
-                 | Some pk -> [ pk ]))
-               tr.D.Decomposition.ft_nodes)
-        trees
+                 | None -> "-"
+                 | Some _ -> "P")
+               :: k
+               ::
+               (match n.D.Decomposition.fn_parent with
+               | None -> []
+               | Some pk -> [ pk ]))
+             tr.D.Decomposition.ft_nodes)
+      trees
 
 let take n lines =
   let rec go n acc = function
@@ -324,10 +304,9 @@ let fact_of_line line =
 
 let decode_decomp lines =
   match lines with
-  | [] -> (None, []) (* v2 entry: no decomposition section *)
+  | [] -> failwith "missing decomposition"
   | l :: rest -> (
     match String.split_on_char ' ' (field "decomp" l) with
-    | [ "none" ] -> (None, rest)
     | [ tag; nv; np; nt ] ->
       let nv = int_of_string nv in
       let np = int_of_string np in
@@ -402,8 +381,7 @@ let decode_decomp lines =
         | "forest" -> D.Decomposition.Forest d_trees
         | _ -> failwith "bad decomposition tag"
       in
-      ( Some { D.Decomposition.d_vtuples = nv; d_parts; d_structure },
-        rest )
+      ({ D.Decomposition.d_vtuples = nv; d_parts; d_structure }, rest)
     | _ -> failwith "bad decomposition")
 
 let entry_payload (fp, (e : D.Planner.cache_entry)) =
@@ -479,12 +457,7 @@ let decode_baseline payload =
     let ng = int_of_string (field "gone" gone) in
     let na = int_of_string (field "added" added) in
     if List.length facts <> ng + na then failwith "fact count mismatch";
-    let rec split_at n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | x :: rest -> split_at (n - 1) (x :: acc) rest
-      | [] -> failwith "fact count mismatch"
-    in
-    let gfacts, afacts = split_at ng [] facts in
+    let gfacts, afacts = take ng facts in
     ( R.Stuple.Set.of_list (List.map fact_of_line gfacts),
       R.Stuple.Set.of_list (List.map fact_of_line afacts) )
   | _ -> failwith "malformed baseline"
@@ -507,15 +480,7 @@ let fps_of_line key line =
 
 let delta_payload (d : delta) =
   String.concat "\n"
-    ([
-       "D";
-       "position " ^ string_of_int d.d_position;
-       "generation " ^ string_of_int d.d_generation;
-       "arena " ^ D.Fingerprint.to_hex d.d_arena_fp;
-       "components " ^ string_of_int d.d_components;
-       String.concat " " ("dirty" :: List.map string_of_int d.d_dirty);
-     ]
-    @ stats_lines d.d_stats
+    (("D" :: coords_lines d.d_coords)
     @ [
         fps_line "removed" d.d_removed;
         fps_line "order" d.d_order;
@@ -530,17 +495,8 @@ let delta_payload (d : delta) =
    frames that follow it *)
 let decode_delta payload =
   match String.split_on_char '\n' payload with
-  | "D" :: pos :: gen :: ar :: comp :: dirty :: rest -> (
-    let d_position = int_of_string (field "position" pos) in
-    let d_generation = int_of_string (field "generation" gen) in
-    let d_arena_fp = fp_of_hex (field "arena" ar) in
-    let d_components = int_of_string (field "components" comp) in
-    let d_dirty =
-      field "dirty" dirty |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-    in
-    let d_stats, rest = decode_stats ~tiered:true rest in
+  | "D" :: rest -> (
+    let d_coords, rest = decode_coords rest in
     match rest with
     | removed :: order :: gone :: added :: rest -> (
       let d_removed = fps_of_line "removed" removed in
@@ -552,12 +508,7 @@ let decode_delta payload =
       match rest with
       | [ ups ] ->
         ( {
-            d_position;
-            d_generation;
-            d_arena_fp;
-            d_components;
-            d_dirty;
-            d_stats;
+            d_coords;
             d_removed;
             d_order;
             d_deletes = R.Stuple.Set.of_list (List.map fact_of_line gfacts);
@@ -599,16 +550,7 @@ let fold_delta (t : t) (d : delta) =
             (R.Stuple.Set.diff added d.d_deletes)
             (R.Stuple.Set.diff d.d_inserts gone1) )
   in
-  {
-    position = d.d_position;
-    generation = d.d_generation;
-    arena_fp = d.d_arena_fp;
-    components = d.d_components;
-    dirty = d.d_dirty;
-    stats = d.d_stats;
-    baseline;
-    entries;
-  }
+  { coords = d.d_coords; baseline; entries }
 
 (* ---- i/o ---- *)
 
@@ -641,35 +583,9 @@ let flip_bit path n =
   end
 
 let write path t =
-  let image = encode t in
-  let tmp = path ^ ".tmp" in
-  let write_tmp k =
-    let oc =
-      open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (String.sub image 0 k);
-        flush oc;
-        if k = String.length image then Unix.fsync (Unix.descr_of_out_channel oc))
-  in
-  (match D.Failpoint.find "snapshot.write" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    (* die [n] bytes into the temp image: a torn [.tmp] that never
-       replaces the previous snapshot — unless the allowance covered the
-       whole image, in which case the rename committed and the kill
-       struck just after *)
-    let k = min n (String.length image) in
-    write_tmp k;
-    if k = String.length image then Sys.rename tmp path;
-    raise (D.Failpoint.Injected "snapshot.write")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "snapshot.write"
-    | None -> ());
-    write_tmp (String.length image);
-    Sys.rename tmp path);
+  (* a crash whose allowance covered the whole image commits the rename
+     and dies just after *)
+  Journal.replace_file "snapshot.write" path (encode t);
   (match D.Failpoint.find "snapshot.corrupt" with
   | Some (D.Failpoint.Corrupt_byte n) -> flip_bit path n
   | _ -> ());
@@ -683,32 +599,24 @@ let load path =
     match Journal.read_file path with
     | exception Sys_error msg -> Error (Corrupt msg)
     | data ->
-      let len = String.length data in
       let mlen = String.length magic in
-      if len < mlen || String.sub data 0 mlen <> magic then
+      if String.length data < mlen || String.sub data 0 mlen <> magic then
         Error (Corrupt "bad magic")
       else begin
-        (* [None] = no complete frame at [pos] *)
-        let next_frame pos =
-          if len - pos < 8 then None
-          else
-            let plen = Journal.read_u32_le data pos in
-            if plen < 0 || len - pos - 8 < plen then None
-            else
-              let crc = Journal.read_u32_le data (pos + 4) in
-              let payload = String.sub data (pos + 8) plen in
-              if Int32.to_int (Journal.crc32 payload) land 0xFFFFFFFF <> crc
-              then Some (Error "checksum mismatch", pos + 8 + plen)
-              else Some (Ok payload, pos + 8 + plen)
+        (* a payload that fails to decode counts as a bad frame *)
+        let decoded decode payload =
+          match decode payload with
+          | exception (Failure _ | R.Serial.Parse_error (_, _)) -> None
+          | x -> Some x
         in
-        match next_frame mlen with
-        | None -> Error (Corrupt "truncated header")
-        | Some (Error reason, _) -> Error (Corrupt ("header " ^ reason))
-        | Some (Ok hp, pos0) -> (
+        match Journal.read_frame data mlen with
+        | Journal.Torn -> Error (Corrupt "truncated header")
+        | Journal.Bad_checksum _ -> Error (Corrupt "header checksum mismatch")
+        | Journal.Frame (hp, pos0) -> (
           match decode_header hp with
           | exception Bad_version v -> Error (Version_mismatch v)
           | exception Failure msg -> Error (Corrupt ("header: " ^ msg))
-          | meta, has_baseline, count ->
+          | coords, has_baseline, count ->
             (* the baseline frame (if announced) sits between the header
                and the entries; damage to it degrades the baseline to
                [None] — the engine then falls back to full journal
@@ -718,14 +626,13 @@ let load path =
             let baseline, pos0, base_dropped =
               if not has_baseline then (None, pos0, 0)
               else
-                match next_frame pos0 with
-                | None -> (None, String.length data, 1)
-                | Some (Error _, next) -> (None, next, 1)
-                | Some (Ok payload, next) -> (
-                  match decode_baseline payload with
-                  | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
-                    (None, next, 1)
-                  | b -> (Some b, next, 0))
+                match Journal.read_frame data pos0 with
+                | Journal.Torn -> (None, String.length data, 1)
+                | Journal.Bad_checksum next -> (None, next, 1)
+                | Journal.Frame (payload, next) -> (
+                  match decoded decode_baseline payload with
+                  | None -> (None, next, 1)
+                  | b -> (b, next, 0))
             in
             (* per-entry degradation: a frame that fails its checksum or
                doesn't decode drops that entry alone; a frame that can't
@@ -734,14 +641,13 @@ let load path =
             let rec go pos k acc dropped =
               if k = count then (List.rev acc, dropped, pos)
               else
-                match next_frame pos with
-                | None -> (List.rev acc, dropped + (count - k), pos)
-                | Some (Error _, next) -> go next (k + 1) acc (dropped + 1)
-                | Some (Ok payload, next) -> (
-                  match decode_entry payload with
-                  | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
-                    go next (k + 1) acc (dropped + 1)
-                  | pair -> go next (k + 1) (pair :: acc) dropped)
+                match Journal.read_frame data pos with
+                | Journal.Torn -> (List.rev acc, dropped + (count - k), pos)
+                | Journal.Bad_checksum next -> go next (k + 1) acc (dropped + 1)
+                | Journal.Frame (payload, next) -> (
+                  match decoded decode_entry payload with
+                  | None -> go next (k + 1) acc (dropped + 1)
+                  | Some pair -> go next (k + 1) (pair :: acc) dropped)
             in
             let entries, dropped, pos1 = go pos0 0 [] 0 in
             (* Incremental delta groups appended after the full image.
@@ -751,31 +657,29 @@ let load path =
                replay covers whatever the dropped tail described. A
                group applies only when its "D" frame and all its entry
                frames decode — a torn group is ignored whole. *)
-            let rec fold_groups t pos =
-              match next_frame pos with
-              | None | Some (Error _, _) -> t
-              | Some (Ok payload, next) -> (
-                match decode_delta payload with
-                | exception (Failure _ | R.Serial.Parse_error (_, _)) -> t
-                | d, nup -> (
-                  let rec ups k acc pos =
-                    if k = 0 then Some (List.rev acc, pos)
-                    else
-                      match next_frame pos with
-                      | None | Some (Error _, _) -> None
-                      | Some (Ok p, next) -> (
-                        match decode_entry p with
-                        | exception (Failure _ | R.Serial.Parse_error (_, _))
-                          ->
-                          None
-                        | pair -> ups (k - 1) (pair :: acc) next)
-                  in
-                  match ups nup [] next with
-                  | None -> t
-                  | Some (d_upserts, next') ->
-                    fold_groups (fold_delta t { d with d_upserts }) next'))
+            let next_decoded decode pos =
+              match Journal.read_frame data pos with
+              | Journal.Frame (payload, next) ->
+                Option.map (fun x -> (x, next)) (decoded decode payload)
+              | Journal.Bad_checksum _ | Journal.Torn -> None
             in
-            let t = fold_groups { meta with baseline; entries } pos1 in
+            let rec ups k acc pos =
+              if k = 0 then Some (List.rev acc, pos)
+              else
+                match next_decoded decode_entry pos with
+                | None -> None
+                | Some (pair, next) -> ups (k - 1) (pair :: acc) next
+            in
+            let rec fold_groups t pos =
+              match next_decoded decode_delta pos with
+              | None -> t
+              | Some ((d, nup), next) -> (
+                match ups nup [] next with
+                | None -> t
+                | Some (d_upserts, next') ->
+                  fold_groups (fold_delta t { d with d_upserts }) next')
+            in
+            let t = fold_groups { coords; baseline; entries } pos1 in
             Ok (t, base_dropped + dropped))
       end
 
@@ -787,32 +691,9 @@ let load path =
    injection: [Crash_after_bytes n] emits [n] bytes of the group and
    raises. *)
 let append ?(fsync = false) path (d : delta) =
-  let data =
-    String.concat ""
-      (Journal.frame (delta_payload d)
-      :: List.map (fun e -> Journal.frame (entry_payload e)) d.d_upserts)
-  in
-  let write_k k =
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-        path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (String.sub data 0 k);
-        flush oc;
-        if k = String.length data && fsync then
-          Unix.fsync (Unix.descr_of_out_channel oc))
-  in
-  match D.Failpoint.find "snapshot.append" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    write_k (min n (String.length data));
-    raise (D.Failpoint.Injected "snapshot.append")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "snapshot.append"
-    | None -> ());
-    write_k (String.length data)
+  Journal.append_file ~fsync "snapshot.append" path
+    (String.concat ""
+       (Journal.frame (delta_payload d)
+       :: List.map (fun e -> Journal.frame (entry_payload e)) d.d_upserts))
 
 let remove path = if Sys.file_exists path then Sys.remove path

@@ -3,34 +3,30 @@
 
     A snapshot captures the plain-data state of the engine's shard
     solution cache ({!Deleprop.Planner.cache_entries} /
-    [cache_stats]) together with the coordinates that tie it to one
-    moment of one journal: the journal [position] (how many records
-    preceded the write) and [generation] (which rewrite lineage those
-    records belong to), the arena's content fingerprint, the partition
-    size, the ids of the components dirty at that moment, and the
-    session database expressed as a [baseline] delta against the base.
-    Recovery replays the journal as usual and — when the stored
-    coordinates match the replayed state — installs the entries and
-    restores the component index's clean bits, so the first
-    post-recovery round splices clean shards from the cache exactly as
-    the uninterrupted session would have. When
-    the baseline is present and the journal's generation matches,
-    the engine skips replaying the [position]-record prefix entirely
-    (applying the baseline as one delta instead) and reclaims the sealed
-    segments that prefix lived in — see [Engine.create ~recover].
+    [cache_stats]) together with the {!coords} that tie it to one
+    moment of one journal, and the session database expressed as a
+    [baseline] delta against the base. Recovery replays the journal as
+    usual and — when the stored coordinates match the replayed state —
+    installs the entries and restores the component index's clean bits,
+    so the first post-recovery round splices clean shards from the cache
+    exactly as the uninterrupted session would have. When the baseline
+    is present and the journal's generation matches, the engine skips
+    replaying the [position]-record prefix entirely (applying the
+    baseline as one delta instead) and reclaims the sealed segments that
+    prefix lived in — see [Engine.create ~recover].
 
     On-disk format, version 3: the magic ["DLPSNAP1"] followed by CRC-32
     framed payloads in the journal's framing (u32 LE length, u32 LE
-    CRC-32, payload) — one header payload, an optional baseline payload,
-    one payload per cache entry (most-recently-used first, each carrying
-    the entry's recorded {!Deleprop.Decomposition.t}), then any number
-    of incremental {e delta groups} appended by {!append} between full
-    images. Floats are serialized as the 16 hex digits of their IEEE-754
-    bits, so a restored cache is bit-identical to the written one
-    (costs, certificates, thresholds, decompositions). Version 2 images
-    (no decompositions, no per-tier counters, no deltas) still load:
-    their entries restore with [e_decomposition = None] and the per-tier
-    counters at zero.
+    CRC-32, payload; read with {!Journal.read_frame}) — one header
+    payload, an optional baseline payload, one payload per cache entry
+    (most-recently-used first, each carrying the entry's recorded
+    {!Deleprop.Decomposition.t}), then any number of incremental
+    {e delta groups} appended by {!append} between full images. The
+    header and each delta group's leading frame carry the coordinate
+    block in one shared encoding. Floats are serialized as the 16 hex
+    digits of their IEEE-754 bits, so a restored cache is bit-identical
+    to the written one (costs, certificates, thresholds,
+    decompositions). Version 3 is the only version read.
 
     {2 Degradation ladder}
 
@@ -39,8 +35,9 @@
     - missing file → {!warning.Missing}, cold cache;
     - unreadable header, bad magic, or a bit flip in the header frame →
       {!warning.Corrupt}, whole snapshot dropped, cold cache;
-    - a version this build doesn't read (including v1 images from
-      before the baseline/generation coordinates existed) →
+    - a version this build doesn't read (v2 images from before
+      per-entry decompositions, per-tier counters and delta groups; v1
+      images from before the baseline/generation coordinates) →
       {!warning.Version_mismatch}, cold cache;
     - a bit flip or torn tail {e inside the entry region} → only the
       damaged entries drop (the [dropped] count reports how many), the
@@ -51,7 +48,9 @@
     - coordinates that don't match the journal replay (the engine's
       check, not {!load}'s) → {!warning.Stale}, cold cache. *)
 
-type t = {
+(** Where a snapshot image — or a delta group appended to it — sits:
+    the journal coordinates and the cache counters at the write. *)
+type coords = {
   position : int;
       (** journal records preceding this snapshot — recovery installs
           the cache after replaying exactly this many *)
@@ -71,6 +70,10 @@ type t = {
   stats : Deleprop.Planner.cache_stats;
       (** lifetime cache counters, restored so recovered sessions report
           the same hit/miss history *)
+}
+
+type t = {
+  coords : coords;
   baseline : (Relational.Stuple.Set.t * Relational.Stuple.Set.t) option;
       (** the live database at the write as (gone, added) fact sets
           against the session's base database — applying it to the base
@@ -82,18 +85,13 @@ type t = {
 }
 
 (** One incremental append between full images ({!append}): the
-    refreshed coordinates and counter block, the cache changes since the
-    previous frame, and the round's database delta. {!load} folds the
-    clean prefix of appended deltas over the base image, so the returned
-    {!t} is what a full write at the last clean delta's moment would
-    have produced. *)
+    refreshed coordinates, the cache changes since the previous frame,
+    and the round's database delta. {!load} folds the clean prefix of
+    appended deltas over the base image, so the returned {!t} is what a
+    full write at the last clean delta's moment would have produced:
+    the delta's [d_coords] replace the image's whole. *)
 type delta = {
-  d_position : int;        (** journal position after the round *)
-  d_generation : int;
-  d_arena_fp : Deleprop.Fingerprint.t;
-  d_components : int;
-  d_dirty : int list;
-  d_stats : Deleprop.Planner.cache_stats;
+  d_coords : coords;  (** [position] is the journal position after the round *)
   d_removed : Deleprop.Fingerprint.t list;
       (** bindings gone since the previous frame (LRU evictions, bucket
           sweeps, clears) *)
@@ -124,9 +122,10 @@ val pp_warning : Format.formatter -> warning -> unit
     ["version_mismatch"], ["corrupt"], ["stale"]. *)
 val warning_label : warning -> string
 
-(** Atomically write [t] to [path]: full image to [path ^ ".tmp"],
-    flush, fsync, rename — a crash leaves either the previous snapshot
-    or the new one, never a blend. Crosses three failpoints:
+(** Atomically write [t] to [path] ({!Journal.replace_file}): full
+    image to [path ^ ".tmp"], flush, fsync, rename — a crash leaves
+    either the previous snapshot or the new one, never a blend. Crosses
+    three failpoints:
     ["snapshot.write"] ([Crash_after_bytes n] emits [n] bytes of the
     temp image then raises, the rename happening iff the allowance
     covered the whole image), ["snapshot.corrupt"] ([Corrupt_byte n]
@@ -142,7 +141,8 @@ val write : string -> t -> unit
     everything after it — the base image and every previously appended
     clean group still load, and the journal replay covers the dropped
     freshness. [fsync] (default false) forces the group to disk.
-    Crosses the ["snapshot.append"] failpoint ([Crash_after_bytes n]
+    Writes through {!Journal.append_file}, crossing the
+    ["snapshot.append"] failpoint ([Crash_after_bytes n]
     emits [n] bytes of the group, then raises). *)
 val append : ?fsync:bool -> string -> delta -> unit
 

@@ -282,13 +282,13 @@ let test_reuse_counter_durable () =
   let c = D.Planner.create_cache ~capacity:8 () in
   let stats = D.Planner.cache_stats c in
   Alcotest.(check int) "fresh cache: zero reuses" 0
-    stats.D.Planner.s_fragment_reuses;
+    (D.Planner.fragment_reuses stats);
   let c' = D.Planner.create_cache ~capacity:8 () in
   D.Planner.cache_restore
-    ~stats:{ stats with D.Planner.s_fragment_reuses = 7 }
+    ~stats:{ stats with D.Planner.s_fragment_reuses_forest = 7 }
     c' [];
   Alcotest.(check int) "restored reuse counter" 7
-    (D.Planner.cache_fragment_reuses c')
+    (D.Planner.fragment_reuses (D.Planner.cache_stats c'))
 
 (* the merge path: an insert that cannot resurrect a dead slot makes
    [Arena.extend] merge sorted runs, and the index rebuilds from scratch.
@@ -490,6 +490,26 @@ let prop_clean_bits_lazy =
   qcheck ~count:15 "compindex: clean bits ≡ stuple-set oracle (random compactions)"
     seeds (check_clean_bits ~every_commit:false)
 
+(* [index_retargets] counts request rounds only: reading the live index
+   through [Engine.index], [partition] or [component_index] between
+   rounds re-targets nothing *)
+let test_retargets_count_rounds () =
+  let eng =
+    Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ())
+  in
+  let reqs = q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ] in
+  let k = 3 in
+  for i = 1 to k do
+    ignore (Engine.index eng);
+    ignore (Engine.partition eng);
+    ignore (Engine.component_index eng);
+    ignore (request_exn (Printf.sprintf "round %d" i) eng reqs)
+  done;
+  ignore (Engine.index eng);
+  Alcotest.(check int) "one retarget per request round" k
+    (Engine.stats eng).Engine.index_retargets;
+  Engine.close eng
+
 let suite =
   [
     prop_lockstep;
@@ -503,4 +523,6 @@ let suite =
       test_reuse_counter_durable;
     Alcotest.test_case "merge-path insert: rebuilt index carries clean bits"
       `Quick test_merge_path_insert;
+    Alcotest.test_case "index_retargets counts request rounds only" `Quick
+      test_retargets_count_rounds;
   ]

@@ -133,50 +133,6 @@ let test_forest_splice () =
   Engine.close eng;
   Engine.close fresh
 
-(* the v2-compatibility guard: entries restored without a recorded
-   decomposition (as a pre-v3 snapshot loads) still splice clean
-   components identically, but must never seed through the forest
-   tier — the fragment re-solves, still bit-identically *)
-let test_forest_undecomposed_guard () =
-  with_paths (fun jpath spath ->
-      let mk ?(recover = false) cache =
-        Engine.create ~plan:true ~domains:1 ~exact_threshold:0
-          ~shard_cache:cache ~journal:jpath ~snapshot:spath ~snapshot_every:1
-          ~recover (hub_db ()) (hub_queries ())
-      in
-      let eng = mk 512 in
-      ignore (request_exn "warm" eng (qm ()));
-      (* a journalled round forces a full image holding the entry *)
-      Engine.insert eng (st "L" [ "a9"; "b9" ]);
-      Engine.close eng;
-      (* strip the decompositions, exactly what a v2 snapshot yields *)
-      let t, _ = load_exn "doctor" spath in
-      S.write spath
-        {
-          t with
-          S.entries =
-            List.map
-              (fun (f, e) -> (f, { e with D.Planner.e_decomposition = None }))
-              t.S.entries;
-        };
-      let eng = mk ~recover:true 512 in
-      let fresh = mk_hub 0 in
-      Engine.insert fresh (st "L" [ "a9"; "b9" ]);
-      ignore (request_exn "rewarm" eng (qm ()));
-      ignore (request_exn "rewarm" fresh (qm ()));
-      del eng "L" [ "a2"; "b3" ];
-      del fresh "L" [ "a2"; "b3" ];
-      let p = request_exn "guarded" eng (qm ()) in
-      let f = request_exn "guarded" fresh (qm ()) in
-      Alcotest.(check int) "undecomposed entry never seeds" 0
-        p.Engine.shards_cached;
-      let _, fo, _ = tier_counts eng in
-      Alcotest.(check int) "no forest reuse" 0 fo;
-      check_solutions_equal "guarded ≡ fresh" p.Engine.solutions
-        f.Engine.solutions;
-      Engine.close eng;
-      Engine.close fresh)
-
 (* ---- approximate tier: identity restriction under the bucket guard --
 
    A triangle (RA-RB-RC via Q1/Q2/Q3) keeps the component off the
@@ -400,13 +356,20 @@ let test_append_fold () =
       let e1' = { (entry fp1) with D.Planner.e_cost = 9.5 } in
       let d1 =
         {
-          S.d_position = 8;
-          d_generation = base.S.generation;
-          d_arena_fp = fp "00000000deadbe01";
-          d_components = 4;
-          d_dirty = [ 1 ];
-          d_stats =
-            { base.S.stats with D.Planner.s_hits = 12; s_fragment_reuses = 4 };
+          S.d_coords =
+            {
+              S.position = 8;
+              generation = base.S.coords.S.generation;
+              arena_fp = fp "00000000deadbe01";
+              components = 4;
+              dirty = [ 1 ];
+              stats =
+                {
+                  base.S.coords.S.stats with
+                  D.Planner.s_hits = 12;
+                  s_fragment_reuses_exact = 2;
+                };
+            };
           d_removed = [ fp2 ];
           d_order = [ fp1; fp3 ];
           d_deletes = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
@@ -421,9 +384,7 @@ let test_append_fold () =
       let fp4 = fp "1111111111111111" in
       let d2 =
         {
-          d1 with
-          S.d_position = 9;
-          d_dirty = [];
+          S.d_coords = { d1.S.d_coords with S.position = 9; dirty = [] };
           d_removed = [];
           d_order = [ fp4; fp1; fp3 ];
           d_deletes = R.Stuple.Set.empty;
@@ -434,12 +395,12 @@ let test_append_fold () =
       S.append spath d2;
       let t, dropped = load_exn "fold" spath in
       Alcotest.(check int) "nothing dropped" 0 dropped;
-      Alcotest.(check int) "position is the last delta's" 9 t.S.position;
-      Alcotest.(check int) "components follow" 4 t.S.components;
-      Alcotest.(check bool) "dirty follows" true (t.S.dirty = []);
-      Alcotest.(check int) "stats follow" 12 t.S.stats.D.Planner.s_hits;
+      Alcotest.(check int) "position is the last delta's" 9 t.S.coords.S.position;
+      Alcotest.(check int) "components follow" 4 t.S.coords.S.components;
+      Alcotest.(check bool) "dirty follows" true (t.S.coords.S.dirty = []);
+      Alcotest.(check int) "stats follow" 12 t.S.coords.S.stats.D.Planner.s_hits;
       Alcotest.(check bool) "arena fp follows" true
-        (D.Fingerprint.equal t.S.arena_fp d2.S.d_arena_fp);
+        (D.Fingerprint.equal t.S.coords.S.arena_fp d2.S.d_coords.S.arena_fp);
       (* entries: fp2 removed, fp1 refreshed, fp4 added, MRU order d2's *)
       Alcotest.(check bool) "MRU order is the delta's" true
         (List.map fst t.S.entries = [ fp4; fp1; fp3 ]);
@@ -461,16 +422,17 @@ let test_append_fold () =
           D.Failpoint.set "snapshot.append" (D.Failpoint.Crash_after_bytes 11);
           Alcotest.check_raises "torn append raises"
             (D.Failpoint.Injected "snapshot.append") (fun () ->
-              S.append spath { d2 with S.d_position = 10 }));
+              S.append spath
+                { d2 with S.d_coords = { d2.S.d_coords with S.position = 10 } }));
       let t', dropped' = load_exn "torn tail" spath in
       Alcotest.(check int) "torn group ignored cleanly" 0 dropped';
-      Alcotest.(check int) "clean prefix still folds" 9 t'.S.position;
+      Alcotest.(check int) "clean prefix still folds" 9 t'.S.coords.S.position;
       Alcotest.(check int) "entries unaffected" 3 (List.length t'.S.entries);
       (* ... and a later full write truncates the damage *)
       S.write spath base;
       let t'', _ = load_exn "rewrite" spath in
-      Alcotest.(check int) "full write supersedes" base.S.position
-        t''.S.position)
+      Alcotest.(check int) "full write supersedes" base.S.coords.S.position
+        t''.S.coords.S.position)
 
 (* engine-level: between full images the engine appends one group per
    journalled round; the folded snapshot tracks the journal head, and a
@@ -494,7 +456,7 @@ let test_engine_appends () =
       del eng "T1" [ "Dan"; "J4" ];
       Engine.insert eng (st "T1" [ "Dan"; "J4" ]);
       let t, _ = load_exn "full image" spath in
-      Alcotest.(check int) "full image at the boundary" 4 t.S.position;
+      Alcotest.(check int) "full image at the boundary" 4 t.S.coords.S.position;
       (* rounds 5-6: appended deltas keep the fold at the journal head *)
       ignore (request_exn "re-warm" eng reqs);
       del eng "T4" [ "ICDE"; "Rome" ];
@@ -502,11 +464,11 @@ let test_engine_appends () =
       Engine.insert eng (st "T1" [ "Eve"; "J4" ]);
       let t, dropped = load_exn "folded" spath in
       Alcotest.(check int) "nothing dropped" 0 dropped;
-      Alcotest.(check int) "fold tracks the journal head" 6 t.S.position;
+      Alcotest.(check int) "fold tracks the journal head" 6 t.S.coords.S.position;
       let stats_live = Engine.stats eng in
       Alcotest.(check int) "folded reuse counters are live"
         stats_live.Engine.fragment_reuses
-        t.S.stats.D.Planner.s_fragment_reuses;
+        (D.Planner.fragment_reuses t.S.coords.S.stats);
       (* the uninterrupted answer to one more round *)
       let p_live = request_exn "live round" eng reqs in
       Engine.close eng;
@@ -534,8 +496,6 @@ let suite =
   [
     Alcotest.test_case "forest tier: spliced fragment ≡ fresh solve" `Quick
       test_forest_splice;
-    Alcotest.test_case "forest tier: undecomposed entries never seed" `Quick
-      test_forest_undecomposed_guard;
     Alcotest.test_case "approx tier: spliced fragment ≡ fresh solve" `Quick
       test_approx_splice;
     Alcotest.test_case "approx tier: drifted bucket never seeds" `Quick

@@ -255,12 +255,15 @@ let golden_delta () =
   let base = Test_rewarm.sample_snapshot () in
   let e1 = List.assoc (fp "0123456789abcdef") base.S.entries in
   {
-    S.d_position = 8;
-    d_generation = 2;
-    d_arena_fp = fp "00000000deadbe01";
-    d_components = 4;
-    d_dirty = [ 1; 3 ];
-    d_stats = { base.S.stats with D.Planner.s_hits = 12 };
+    S.d_coords =
+      {
+        S.position = 8;
+        generation = 2;
+        arena_fp = fp "00000000deadbe01";
+        components = 4;
+        dirty = [ 1; 3 ];
+        stats = { base.S.coords.S.stats with D.Planner.s_hits = 12 };
+      };
     d_removed = [ fp "fedcba9876543210" ];
     d_order = [ fp "0123456789abcdef"; fp "00000000000000ff" ];
     d_deletes = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);

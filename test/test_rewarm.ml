@@ -66,20 +66,19 @@ let sample_entries () =
         e_threshold = Float.pi;
         e_split = true;
         e_decomposition =
-          Some
-            {
-              D.Decomposition.d_vtuples = 4;
-              d_parts =
-                [
-                  {
-                    D.Decomposition.p_label = "g0";
-                    p_deleted = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
-                    p_cost = 0.1 +. 0.2;
-                    p_cert = D.Decomposition.Slice_exact;
-                  };
-                ];
-              d_structure = D.Decomposition.Witness_groups;
-            };
+          {
+            D.Decomposition.d_vtuples = 4;
+            d_parts =
+              [
+                {
+                  D.Decomposition.p_label = "g0";
+                  p_deleted = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
+                  p_cost = 0.1 +. 0.2;
+                  p_cert = D.Decomposition.Slice_exact;
+                };
+              ];
+            d_structure = D.Decomposition.Witness_groups;
+          };
       } );
     ( fp "fedcba9876543210",
       {
@@ -93,26 +92,25 @@ let sample_entries () =
         e_threshold = infinity;
         e_split = false;
         e_decomposition =
-          Some
-            {
-              D.Decomposition.d_vtuples = 9;
-              d_parts =
-                [
-                  {
-                    D.Decomposition.p_label = "c A J1";
-                    p_deleted = R.Stuple.Set.empty;
-                    p_cost = 1e-300;
-                    p_cert = D.Decomposition.Slice_ratio (2.0 *. Float.sqrt 9.0);
-                  };
-                  {
-                    D.Decomposition.p_label = "c B J2";
-                    p_deleted = R.Stuple.Set.singleton (st "T2" [ "J1"; "X"; "W1" ]);
-                    p_cost = 0.0;
-                    p_cert = D.Decomposition.Slice_heuristic;
-                  };
-                ];
-              d_structure = D.Decomposition.Contributions;
-            };
+          {
+            D.Decomposition.d_vtuples = 9;
+            d_parts =
+              [
+                {
+                  D.Decomposition.p_label = "c A J1";
+                  p_deleted = R.Stuple.Set.empty;
+                  p_cost = 1e-300;
+                  p_cert = D.Decomposition.Slice_ratio (2.0 *. Float.sqrt 9.0);
+                };
+                {
+                  D.Decomposition.p_label = "c B J2";
+                  p_deleted = R.Stuple.Set.singleton (st "T2" [ "J1"; "X"; "W1" ]);
+                  p_cost = 0.0;
+                  p_cert = D.Decomposition.Slice_heuristic;
+                };
+              ];
+            d_structure = D.Decomposition.Contributions;
+          };
       } );
     ( fp "00000000000000ff",
       {
@@ -125,68 +123,69 @@ let sample_entries () =
         e_threshold = Float.sqrt 6.0;
         e_split = false;
         e_decomposition =
-          Some
-            {
-              D.Decomposition.d_vtuples = 6;
-              d_parts =
+          {
+            D.Decomposition.d_vtuples = 6;
+            d_parts =
+              [
+                {
+                  D.Decomposition.p_label = "t0";
+                  p_deleted =
+                    R.Stuple.Set.singleton (st "T1" [ "B"; "J2" ]);
+                  p_cost = 42.0;
+                  p_cert = D.Decomposition.Slice_exact;
+                };
+              ];
+            d_structure =
+              D.Decomposition.Forest
                 [
                   {
-                    D.Decomposition.p_label = "t0";
-                    p_deleted =
-                      R.Stuple.Set.singleton (st "T1" [ "B"; "J2" ]);
-                    p_cost = 42.0;
-                    p_cert = D.Decomposition.Slice_exact;
+                    D.Decomposition.ft_pivot =
+                      R.Stuple.to_string (st "T1" [ "B"; "J2" ]);
+                    ft_nodes =
+                      [
+                        ( R.Stuple.to_string (st "T1" [ "B"; "J2" ]),
+                          {
+                            D.Decomposition.fn_parent = None;
+                            fn_depth = 0;
+                            fn_cut = true;
+                            fn_value = 42.0;
+                            fn_slack = 0.0;
+                          } );
+                        ( R.Stuple.to_string (st "T2" [ "J1"; "X"; "W1" ]),
+                          {
+                            D.Decomposition.fn_parent =
+                              Some (R.Stuple.to_string (st "T1" [ "B"; "J2" ]));
+                            fn_depth = 1;
+                            fn_cut = false;
+                            fn_value = 0.25;
+                            fn_slack = 1.5;
+                          } );
+                      ];
                   };
                 ];
-              d_structure =
-                D.Decomposition.Forest
-                  [
-                    {
-                      D.Decomposition.ft_pivot =
-                        R.Stuple.to_string (st "T1" [ "B"; "J2" ]);
-                      ft_nodes =
-                        [
-                          ( R.Stuple.to_string (st "T1" [ "B"; "J2" ]),
-                            {
-                              D.Decomposition.fn_parent = None;
-                              fn_depth = 0;
-                              fn_cut = true;
-                              fn_value = 42.0;
-                              fn_slack = 0.0;
-                            } );
-                          ( R.Stuple.to_string (st "T2" [ "J1"; "X"; "W1" ]),
-                            {
-                              D.Decomposition.fn_parent =
-                                Some (R.Stuple.to_string (st "T1" [ "B"; "J2" ]));
-                              fn_depth = 1;
-                              fn_cut = false;
-                              fn_value = 0.25;
-                              fn_slack = 1.5;
-                            } );
-                        ];
-                    };
-                  ];
-            };
+          };
       } );
   ]
 
 let sample_snapshot () =
   {
-    S.position = 7;
-    generation = 2;
-    arena_fp = fp "00000000deadbeef";
-    components = 3;
-    dirty = [ 0; 2 ];
-    stats =
+    S.coords =
       {
-        D.Planner.s_hits = 11;
-        s_misses = 4;
-        s_evictions = 1;
-        s_last_bucket = Some 5;
-        s_fragment_reuses = 3;
-        s_fragment_reuses_exact = 1;
-        s_fragment_reuses_forest = 1;
-        s_fragment_reuses_approx = 1;
+        S.position = 7;
+        generation = 2;
+        arena_fp = fp "00000000deadbeef";
+        components = 3;
+        dirty = [ 0; 2 ];
+        stats =
+          {
+            D.Planner.s_hits = 11;
+            s_misses = 4;
+            s_evictions = 1;
+            s_last_bucket = Some 5;
+            s_fragment_reuses_exact = 1;
+            s_fragment_reuses_forest = 1;
+            s_fragment_reuses_approx = 1;
+          };
       };
     baseline =
       Some
@@ -228,13 +227,14 @@ let test_codec_roundtrip () =
       S.write spath t;
       let t', dropped = load_snapshot_exn "round-trip" spath in
       Alcotest.(check int) "nothing dropped" 0 dropped;
-      Alcotest.(check int) "position" t.S.position t'.S.position;
-      Alcotest.(check int) "generation" t.S.generation t'.S.generation;
+      let c = t.S.coords and c' = t'.S.coords in
+      Alcotest.(check int) "position" c.S.position c'.S.position;
+      Alcotest.(check int) "generation" c.S.generation c'.S.generation;
       Alcotest.(check bool) "arena fingerprint" true
-        (D.Fingerprint.equal t.S.arena_fp t'.S.arena_fp);
-      Alcotest.(check int) "components" t.S.components t'.S.components;
-      Alcotest.(check (list int)) "dirty ids" t.S.dirty t'.S.dirty;
-      Alcotest.(check bool) "cache counters" true (t.S.stats = t'.S.stats);
+        (D.Fingerprint.equal c.S.arena_fp c'.S.arena_fp);
+      Alcotest.(check int) "components" c.S.components c'.S.components;
+      Alcotest.(check (list int)) "dirty ids" c.S.dirty c'.S.dirty;
+      Alcotest.(check bool) "cache counters" true (c.S.stats = c'.S.stats);
       (match (t.S.baseline, t'.S.baseline) with
       | Some (g, a), Some (g', a') ->
         Alcotest.(check bool) "baseline gone" true (R.Stuple.Set.equal g g');
@@ -349,7 +349,7 @@ let test_snapshot_failpoints () =
           let old = sample_snapshot () in
           S.write spath old;
           (* dying mid-temp-write never touches the committed file *)
-          let nu = { old with S.position = 99 } in
+          let nu = { old with S.coords = { old.S.coords with S.position = 99 } } in
           D.Failpoint.set "snapshot.write" (D.Failpoint.Crash_after_bytes 10);
           Alcotest.check_raises "torn snapshot write raises"
             (D.Failpoint.Injected "snapshot.write") (fun () ->
@@ -357,7 +357,7 @@ let test_snapshot_failpoints () =
           D.Failpoint.clear "snapshot.write";
           let t', _ = load_snapshot_exn "after torn write" spath in
           Alcotest.(check int) "previous snapshot survives a torn write"
-            old.S.position t'.S.position;
+            old.S.coords.S.position t'.S.coords.S.position;
           (* an allowance covering the whole image: the rename commits
              before the injected kill *)
           D.Failpoint.set "snapshot.write"
@@ -367,7 +367,7 @@ let test_snapshot_failpoints () =
               S.write spath nu);
           D.Failpoint.clear "snapshot.write";
           let t', _ = load_snapshot_exn "after covered write" spath in
-          Alcotest.(check int) "completed image is committed" 99 t'.S.position;
+          Alcotest.(check int) "completed image is committed" 99 t'.S.coords.S.position;
           (* dying between the rename and the checkpoint's journal mark:
              the new snapshot is already durable *)
           D.Failpoint.set "snapshot.rename" D.Failpoint.Raise;
@@ -377,7 +377,7 @@ let test_snapshot_failpoints () =
           D.Failpoint.clear "snapshot.rename";
           let t', _ = load_snapshot_exn "after rename-window kill" spath in
           Alcotest.(check int) "snapshot committed before the kill"
-            old.S.position t'.S.position;
+            old.S.coords.S.position t'.S.coords.S.position;
           (* silent at-rest damage: a flipped bit in the committed
              header degrades, never crashes *)
           D.Failpoint.set "snapshot.corrupt" (D.Failpoint.Corrupt_byte 20);
@@ -416,6 +416,59 @@ let recover_and_round tag jpath spath =
   let stats = Engine.stats eng in
   Engine.close eng;
   (status, p, stats)
+
+(* a hand-framed version-2 header — the format before per-entry
+   decompositions, per-tier counters and delta groups — carrying [c]'s
+   coordinates and announcing no baseline and no entries *)
+let v2_image (c : S.coords) =
+  let k = c.S.stats in
+  "DLPSNAP1"
+  ^ Engine.Journal.frame
+      (String.concat "\n"
+         [
+           "H";
+           "version 2";
+           Printf.sprintf "position %d" c.S.position;
+           Printf.sprintf "generation %d" c.S.generation;
+           "arena " ^ D.Fingerprint.to_hex c.S.arena_fp;
+           Printf.sprintf "components %d" c.S.components;
+           String.concat " " ("dirty" :: List.map string_of_int c.S.dirty);
+           Printf.sprintf "hits %d" k.D.Planner.s_hits;
+           Printf.sprintf "misses %d" k.D.Planner.s_misses;
+           Printf.sprintf "evictions %d" k.D.Planner.s_evictions;
+           "bucket -";
+           "splices 0";
+           "baseline 0";
+           "entries 0";
+         ])
+
+(* v3 is the only version read: a v2 image takes the Version_mismatch
+   rung like any other unread version — the cache starts cold and the
+   answers stay those of the uninterrupted session *)
+let test_v2_version_mismatch () =
+  with_paths (fun jpath spath ->
+      seed_session jpath spath;
+      let t, _ = load_snapshot_exn "seeded" spath in
+      write_whole spath (v2_image t.S.coords);
+      (match S.load spath with
+      | Error (S.Version_mismatch 2) -> ()
+      | Ok _ -> Alcotest.fail "a v2 image must not load"
+      | Error w ->
+        Alcotest.fail
+          (Format.asprintf "expected Version_mismatch 2, got %a" S.pp_warning w));
+      let refp = reference_round () in
+      let status, p, _ = recover_and_round "v2" jpath spath in
+      (match status with
+      | Engine.Degraded (S.Version_mismatch 2) -> ()
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Degraded (Version_mismatch 2), got %a"
+             Engine.pp_snapshot_status s));
+      Alcotest.(check int) "v2: cold cache, nothing splices" 0
+        p.Engine.shards_cached;
+      check_solutions_equal "v2 ≡ uninterrupted" p.Engine.solutions
+        refp.Engine.solutions;
+      check_decisions_equal "v2 decisions" p.Engine.shards refp.Engine.shards)
 
 let test_snapshot_requires_journal () =
   match
@@ -792,6 +845,8 @@ let suite =
       test_recover_warm;
     Alcotest.test_case "engine: every damage shape degrades to cold" `Quick
       test_recover_degraded;
+    Alcotest.test_case "v2 snapshots load as Version_mismatch 2" `Quick
+      test_v2_version_mismatch;
     Alcotest.test_case "checkpoint boundary: counters bit-identical" `Quick
       test_checkpoint_boundary_counters;
     Alcotest.test_case "recovery reclaims snapshot-covered segments" `Quick

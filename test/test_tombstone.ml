@@ -531,11 +531,11 @@ let test_bucket_eviction () =
   in
   let a = find_approx 0 in
   let bucket a = int_of_float (sqrt (float_of_int (D.Arena.live_vtuples a))) in
-  let evictions0 = D.Planner.cache_evictions cache in
+  let evictions0 = (D.Planner.cache_stats cache).D.Planner.s_evictions in
   (* same parent, same bucket: the sweep does not fire *)
   ignore (solve a);
   Alcotest.(check int) "same bucket, no eviction" evictions0
-    (D.Planner.cache_evictions cache);
+    (D.Planner.cache_stats cache).D.Planner.s_evictions;
   (* a parent whose √‖V‖ bucket drifted: stale approximate entries
      sweep. The same family at every seed lands in the same bucket, so
      the drifted parent comes from a much smaller one. *)
@@ -563,7 +563,7 @@ let test_bucket_eviction () =
   let b = find_drifted 1000 in
   ignore (solve b);
   Alcotest.(check bool) "bucket drift evicts the stale approximate entry" true
-    (D.Planner.cache_evictions cache > evictions0)
+    ((D.Planner.cache_stats cache).D.Planner.s_evictions > evictions0)
 
 let suite =
   [
