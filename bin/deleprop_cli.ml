@@ -153,40 +153,41 @@ let report name (o : D.Side_effect.outcome) =
   end
 
 (* The whole-instance solver [algo] names: the label the report prints
-   and the outcome. [Auto] is exact when the pivot DP applies, else
-   primal-dual on forests, else the general reduction. Shared by [solve]
-   and [run]. *)
+   and the outcome, or the reason it has none (an inapplicable, or
+   unsolvable instance — a plain error, not an exception). [Auto] is
+   exact when the pivot DP applies, else primal-dual on forests, else
+   the general reduction. Shared by [solve] and [run]. *)
 let dispatch algo queries prov =
   match algo with
   | Auto -> (
     match D.Dp_tree.solve (D.Arena.build prov) with
-    | Ok r -> ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
+    | Ok r -> Ok ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
     | Error _ ->
       if Hypergraph.Dual.is_forest_case queries then
-        ("primal-dual (forest, l-approx)", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
+        Ok ("primal-dual (forest, l-approx)", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
       else (
         match D.General_approx.solve prov with
-        | Some r -> ("general (Claim 1 approx)", r.D.General_approx.outcome)
-        | None -> failwith "unsolvable instance"))
+        | Some r -> Ok ("general (Claim 1 approx)", r.D.General_approx.outcome)
+        | None -> Error "unsolvable instance"))
   | Brute -> (
     match D.Brute.solve prov with
-    | Some r -> ("brute (exact)", r.D.Brute.outcome)
-    | None -> failwith "infeasible")
-  | Primal_dual -> ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
-  | Lowdeg -> ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
+    | Some r -> Ok ("brute (exact)", r.D.Brute.outcome)
+    | None -> Error "infeasible")
+  | Primal_dual -> Ok ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
+  | Lowdeg -> Ok ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
   | Dp -> (
     match D.Dp_tree.solve (D.Arena.build prov) with
-    | Ok r -> ("dp", r.D.Dp_tree.outcome)
-    | Error e -> failwith (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
+    | Ok r -> Ok ("dp", r.D.Dp_tree.outcome)
+    | Error e -> Error (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
   | General -> (
     match D.General_approx.solve prov with
-    | Some r -> ("general", r.D.General_approx.outcome)
-    | None -> failwith "unsolvable")
+    | Some r -> Ok ("general", r.D.General_approx.outcome)
+    | None -> Error "unsolvable")
   | Single -> (
     match D.Single_query.solve prov with
-    | Ok r -> ("single-query", r.D.Single_query.outcome)
+    | Ok r -> Ok ("single-query", r.D.Single_query.outcome)
     | Error e ->
-      failwith (Format.asprintf "single inapplicable: %a" D.Single_query.pp_error e))
+      Error (Format.asprintf "single inapplicable: %a" D.Single_query.pp_error e))
 
 let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
     no_decompose json =
@@ -283,7 +284,7 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
     Ok ()
   end
   else begin
-    let name, outcome = dispatch algo queries prov in
+    let* name, outcome = dispatch algo queries prov in
     if json then print_report (outcome_report name outcome)
     else begin
       report name outcome;
@@ -359,7 +360,7 @@ let run_problem path algo balanced explain_flag =
     Ok ()
   end
   else begin
-    let name, outcome = dispatch algo queries prov in
+    let* name, outcome = dispatch algo queries prov in
     report name outcome;
     if explain_flag then
       Format.printf "%a@." D.Explain.pp (D.Explain.explain prov outcome.D.Side_effect.deleted);

@@ -73,8 +73,10 @@ type stats = {
                               index (never by invalidate-and-rebuild) *)
   rebuilds : int;         (** full index builds — 1 for the whole session
                               (the one in {!create}); nothing invalidates *)
-  index_retargets : int;  (** operations served by re-targeting the live
-                              index (the historical spellings
+  index_retargets : int;  (** request rounds served by re-targeting the
+                              live index; reads through {!index},
+                              {!partition} and {!component_index} do not
+                              count (the historical spellings
                               [index_hits] / [cache_hits] were emitted as
                               JSON aliases for one release — schema
                               version 2 — and are gone as of version 3) *)
@@ -93,11 +95,11 @@ type stats = {
   shards_resolved : int;  (** ... actually re-solved — [shards_cached +
                               shards_resolved = shards_solved] *)
   shard_cache_hits : int; (** the shard cache's lifetime hit counter
-                              ({!Deleprop.Planner.cache_hits}), read at
+                              ([s_hits] of {!Deleprop.Planner.cache_stats}), read at
                               {!stats} time; 0 without a cache *)
   fragment_reuses : int;  (** lifetime splices of entries seeded by
                               split-aware fragment restriction
-                              ({!Deleprop.Planner.cache_fragment_reuses}),
+                              ({!Deleprop.Planner.fragment_reuses}),
                               read at {!stats} time — cache hits that
                               exist only because a split's surviving
                               fragment inherited its parent component's

@@ -92,7 +92,9 @@ val pp_error : Format.formatter -> error -> unit
     every record before the first corruption is returned and everything
     at and after it is dropped, later segments included (replaying past
     a hole would desynchronize the rebuilt state). A missing file with
-    no sealed segments is an empty journal. *)
+    no sealed segments is an empty journal. This is {!load_from} at
+    [position = 0] — one segment walk serves both — where nothing is
+    skimmed, so every frame is checksummed. *)
 val load :
   ?repair:bool -> ?keep_going:bool -> string -> (record list, error) result
 
@@ -123,7 +125,8 @@ type tail = {
     covered boundary segment and the active file parse as in {!load}
     (torn-tail handling included), and structural damage anywhere that
     must be parsed is the same typed error. Callers must verify
-    [total ≥ position] (and the generation) before trusting the tail. *)
+    [total ≥ position] (and the generation) before trusting the tail.
+    Every segment is delimited with {!read_frame}. *)
 val load_from : ?repair:bool -> position:int -> string -> (tail, error) result
 
 (** {1 Writing} *)

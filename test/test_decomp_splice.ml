@@ -3,8 +3,7 @@
    forest-DP tree replay (including its cost discount) and the
    approximate identity-with-rewrite — and assert the spliced answer
    bit-identical to a cache-less solve; negative gadgets pin the guards
-   (undecomposed v2 entries, touched candidate neighborhood, drifted
-   √‖V‖ bucket); a lockstep QCheck stream fuzzes the invariant over
+   (touched candidate neighborhood, drifted √‖V‖ bucket); a lockstep QCheck stream fuzzes the invariant over
    mixed delete/insert/solve rounds; and the incremental snapshot
    appends fold back bit-identically, torn tails included. *)
 
